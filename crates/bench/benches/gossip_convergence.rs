@@ -1,64 +1,8 @@
-//! Benchmarks of the epidemic layer: rumor-mongering variants and
-//! anti-entropy convergence (§5.1) — the trade-offs behind the membership
-//! and fault-tolerance gossip.
+//! Benchmarks of the epidemic layer: gossip-membership convergence
+//! (§5.2) with full versus delta digests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftbb_bench::gossip_sim::simulate_membership;
-use ftbb_gossip::{anti_entropy_rounds, simulate, Feedback, LossOfInterest, RumorConfig};
-
-fn bench_rumor_variants(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rumor_500_sites");
-    let variants = [
-        (
-            "feedback_counter2",
-            RumorConfig {
-                fanout: 1,
-                feedback: Feedback::WithFeedback,
-                loss: LossOfInterest::Counter { k: 2 },
-            },
-        ),
-        (
-            "blind_coin3",
-            RumorConfig {
-                fanout: 1,
-                feedback: Feedback::Blind,
-                loss: LossOfInterest::Coin { k: 3 },
-            },
-        ),
-        (
-            "feedback_coin4_fanout2",
-            RumorConfig {
-                fanout: 2,
-                feedback: Feedback::WithFeedback,
-                loss: LossOfInterest::Coin { k: 4 },
-            },
-        ),
-    ];
-    for (name, cfg) in variants {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
-            let mut seed = 0;
-            b.iter(|| {
-                seed += 1;
-                simulate(500, cfg, seed)
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_anti_entropy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("anti_entropy");
-    for &n in &[256usize, 1024, 4096] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut seed = 0;
-            b.iter(|| {
-                seed += 1;
-                anti_entropy_rounds(n, seed)
-            });
-        });
-    }
-    group.finish();
-}
 
 /// Full membership bootstrap at growing group sizes, full digests vs
 /// capped deltas: everyone joins through one server and gossips until
@@ -83,10 +27,5 @@ fn bench_membership_convergence(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_rumor_variants,
-    bench_anti_entropy,
-    bench_membership_convergence
-);
+criterion_group!(benches, bench_membership_convergence);
 criterion_main!(benches);

@@ -15,9 +15,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ftbb_bnb::{Correlation, KnapsackInstance};
 use ftbb_core::{
-    BnbProcess, Expander, PhaseTimes, ProblemExpander, ProtocolConfig, Telemetry, TraceEvent,
+    BnbProcess, Expander, JobId, PhaseTimes, ProblemExpander, ProtocolConfig, Telemetry, TraceEvent,
 };
-use ftbb_runtime::{CrashSwitch, Mesh, MetricsSnapshot, NodeEngine};
+use ftbb_runtime::{CrashSwitch, JobEngine, Mesh, MetricsSnapshot, ServiceEngine};
 use ftbb_wire::{metrics_line, parse_metrics_line};
 use std::time::Duration;
 
@@ -143,7 +143,8 @@ fn solve_once(instance: &KnapsackInstance, traced: bool) -> f64 {
         true,
         7,
     );
-    let mut engine = NodeEngine::new(core, expander);
+    let mut engine = ServiceEngine::new(0, 0);
+    engine.admit(JobEngine::new(JobId::DEFAULT, core, expander));
     if traced {
         engine.set_telemetry(Telemetry::to_writer(0, 0, Box::new(std::io::sink())));
         engine.set_metrics_reporter(Duration::from_millis(1), Box::new(|_| {}));
@@ -157,7 +158,7 @@ fn solve_once(instance: &KnapsackInstance, traced: bool) -> f64 {
             Duration::from_secs(30),
         )
         .expect("not crashed");
-    outcome.incumbent
+    outcome.jobs[0].incumbent
 }
 
 fn bench_engine_solve(c: &mut Criterion) {

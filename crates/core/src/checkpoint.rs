@@ -66,7 +66,7 @@ pub struct GossipBinding {
 }
 
 /// Where periodic checkpoint snapshots go. The engine (`ftbb-runtime`'s
-/// `NodeEngine`) calls [`CheckpointSink::store`] on a cadence; sinks own
+/// `ServiceEngine`) calls [`CheckpointSink::store`] on a cadence; sinks own
 /// durability (e.g. `ftbb-wire`'s atomic write-rename directory sink) and
 /// error reporting policy. A store failure never stops the engine — a node
 /// that cannot persist keeps computing; it merely loses restartability.
@@ -93,8 +93,8 @@ pub struct Checkpoint {
     pub me: u32,
     /// Which life of the process this snapshot belongs to (0 = first).
     pub incarnation: u32,
-    /// Which job this snapshot belongs to. A service node persists one
-    /// checkpoint file *per job*; the legacy single-run path uses
+    /// Which job this snapshot belongs to. A node persists one
+    /// checkpoint file *per job*; a single-run node's one job is
     /// [`JobId::DEFAULT`].
     pub job: JobId,
     /// Static member list (empty when membership-managed).

@@ -4,8 +4,8 @@
 //! pool = a stream of jobs": every protocol frame, checkpoint file,
 //! trace event, and metrics snapshot is scoped to the job it belongs to.
 //! [`JobId`] is that scope — an opaque 64-bit identifier chosen by the
-//! submitter (or [`JobId::DEFAULT`] for the legacy single-run path, which
-//! behaves exactly like a service that only ever admits one job).
+//! submitter (or [`JobId::DEFAULT`] for a single-run node, which is a
+//! service that admits that one job up front and exits when it halts).
 
 use serde::{DecodeError, Deserialize, Serialize};
 use std::fmt;
@@ -20,7 +20,7 @@ use std::fmt;
 pub struct JobId(pub u64);
 
 impl JobId {
-    /// The job id of the legacy single-run path (`0`).
+    /// The job id of a single-run node's one job (`0`).
     pub const DEFAULT: JobId = JobId(0);
 
     /// The raw 64-bit value.

@@ -160,8 +160,8 @@ pub struct TraceEvent {
     pub node: u32,
     /// Emitting node's incarnation.
     pub incarnation: u32,
-    /// Job the event is scoped to; `0` for pool-level (or legacy
-    /// single-run) events. Service-mode engines stamp per-job events via
+    /// Job the event is scoped to; `0` for pool-level (or single-run)
+    /// events. Service-mode engines stamp per-job events via
     /// [`Telemetry::for_job`].
     pub job: u64,
     /// Event kind (`"suspect"`, `"checkpoint"`, `"node_start"`, ...).

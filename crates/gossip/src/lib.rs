@@ -1,28 +1,22 @@
-//! # ftbb-gossip — epidemic communication and group membership
+//! # ftbb-gossip — gossip-style group membership
 //!
-//! Implements §5.1 and §5.2 of Iamnitchi & Foster (ICPP 2000):
+//! Implements §5.2 of Iamnitchi & Foster (ICPP 2000):
 //!
-//! * [`rumor`] — rumor-mongering variants (Demers et al. 1988): blind vs.
-//!   feedback, coin vs. counter loss of interest, plus anti-entropy
-//!   push-pull, with synchronous-round simulators used for validation and
-//!   benchmarking of convergence/residual trade-offs.
 //! * [`view`] / [`membership`] — the gossip-style membership protocol with
 //!   heartbeat counters, last-heard bookkeeping, timeout-based failure
 //!   suspicion, cleanup, and gossip servers for joining (van Renesse et al.
 //!   1998).
 //!
-//! All protocol state machines are transport-agnostic: they return the
+//! The protocol state machines are transport-agnostic: they return the
 //! messages to send and the caller (the DES simulator or the threaded
 //! runtime) delivers them.
 
 #![warn(missing_docs)]
 
 pub mod membership;
-pub mod rumor;
 pub mod view;
 
 pub use membership::{Membership, MembershipConfig, MembershipMsg};
-pub use rumor::{anti_entropy_rounds, simulate, Feedback, LossOfInterest, RumorConfig, RumorStats};
 pub use view::{
     MemberId, MemberRecord, MemberStatus, MembershipView, ViewDigest, DELTA_FULL_REFRESH,
 };

@@ -34,7 +34,7 @@ pub mod service;
 pub mod transport;
 
 pub use harness::{holds_root, node_seed, run_cluster, ClusterConfig, ClusterOutcome};
-pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeEngine, NodeOutcome};
+pub use node::{run_node, CrashSwitch, MetricsReporter, MetricsSnapshot, NodeOutcome};
 pub use pool::{PoolExpander, WorkerPool};
 pub use service::{JobEngine, JobOutcome, ServiceEngine, ServiceHooks, ServiceOutcome};
 pub use transport::{Envelope, Mesh, Transport};

@@ -16,8 +16,8 @@ use std::time::Duration;
 /// A routed protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
-    /// Which job the message belongs to ([`JobId::DEFAULT`] on the
-    /// legacy single-run path). Service engines route inbound traffic to
+    /// Which job the message belongs to ([`JobId::DEFAULT`] on a
+    /// single-run node). Service engines route inbound traffic to
     /// the matching per-job engine by this stamp.
     pub job: JobId,
     /// Sender node id.

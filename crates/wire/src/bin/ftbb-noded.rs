@@ -131,13 +131,18 @@ SERVICE MODE (a long-lived multi-job solve pool):
                                   are ignored; with --checkpoint-dir each
                                   job persists to node-<id>-job-<job>.ckpt
                                   and --resume restores ALL of them
+                                  (without --service the node runs job 0
+                                  only and exits when it finishes)
 
 LIFECYCLE (checkpoint persistence and restart/rejoin):
-    --checkpoint-dir DIR          persist snapshots to DIR/node-<id>.ckpt
-                                  (atomic write-rename; at startup, every
-                                  cadence tick, and at clean exit)
+    --checkpoint-dir DIR          persist one snapshot file per job to
+                                  DIR/node-<id>-job-<job>.ckpt (single-
+                                  run: job 0; atomic write-rename; at
+                                  startup, every cadence tick, and at
+                                  clean exit)
     --checkpoint-every-s SECS     snapshot cadence (default 0.5)
-    --resume                      restore DIR/node-<id>.ckpt instead of
+    --resume                      restore DIR/node-<id>-job-0.ckpt (with
+                                  --service: every job file) instead of
                                   starting fresh: come back as the next
                                   incarnation, take the problem binding
                                   from the checkpoint (--problem* flags

@@ -439,17 +439,20 @@ pub struct NodeConfig {
     /// lines terminated by `start`. This is how the launcher wires a
     /// `--listen 127.0.0.1:0` cluster without pre-allocating ports.
     pub peers_from_stdin: bool,
-    /// Directory for checkpoint snapshots (`node-<id>.ckpt`, written
-    /// atomically via write-rename). `None` disables persistence.
+    /// Directory for checkpoint snapshots, one file per job
+    /// (`node-<id>-job-<job>.ckpt`; a single-run node is job 0), written
+    /// atomically via write-rename. `None` disables persistence.
     pub checkpoint_dir: Option<PathBuf>,
     /// Snapshot cadence in seconds (only meaningful with a checkpoint
     /// directory; an extra snapshot is always written at startup and at
     /// clean exit).
     pub checkpoint_every_s: f64,
-    /// Restore state from `checkpoint_dir/node-<id>.ckpt` instead of
-    /// starting fresh: the node comes back under the next incarnation,
-    /// takes its problem binding from the checkpoint (any `--problem*`
-    /// flags are ignored), and announces its rejoin to the peers.
+    /// Restore state from the `checkpoint_dir/node-<id>-job-<job>.ckpt`
+    /// files instead of starting fresh — job 0 for a single-run node,
+    /// every job for a service node: the node comes back under the next
+    /// incarnation, takes each problem binding from its checkpoint (any
+    /// `--problem*` flags are ignored), and announces its rejoin to the
+    /// peers.
     pub resume: bool,
     /// Gossip servers as `(id, optional address)`. Non-empty enables
     /// **membership mode**: the node runs the §5.2 gossip protocol —
@@ -505,7 +508,8 @@ pub struct NodeConfig {
     /// node multiplexes every admitted job over one mesh until the
     /// deadline. The `--problem*` flags are ignored; with
     /// `--checkpoint-dir` each job persists to its own
-    /// `node-<id>-job-<job>.ckpt`, and `--resume` restores *all* of them.
+    /// `node-<id>-job-<job>.ckpt` (the one layout; a single-run node is
+    /// job 0), and `--resume` restores *all* of them.
     pub service: bool,
     /// Structured trace file (JSONL, one event per line), opened in
     /// append mode so a restarted node's lives accumulate. `None`

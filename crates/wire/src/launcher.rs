@@ -48,8 +48,9 @@ pub enum LifecycleEvent {
         at: Duration,
     },
     /// Restart a previously killed node from its checkpoint
-    /// (`--resume`): it rebinds its original address, restores
-    /// `node-<id>.ckpt`, and rejoins under the next incarnation.
+    /// (`--resume`): it rebinds its original address, restores its
+    /// `node-<id>-job-<job>.ckpt` files (a single-run node: job 0), and
+    /// rejoins under the next incarnation.
     /// Requires [`ClusterSpec::checkpoint_dir`].
     Restart {
         /// The node to restart.

@@ -10,15 +10,19 @@
 //! protocol's `Start` event, so the mesh is never half-formed when the
 //! root hands out its first work grants.
 //!
-//! The daemon materializes the shared problem instance from its spec —
-//! regenerated from generator parameters, loaded from a tree file, or
-//! (with `--problem wire`) received in the root's problem-announce frame
-//! — and drives the *identical* [`BnbProcess`] state machine the
-//! simulator and the threaded runtime use; only the transport and the
-//! clock differ. Codes are self-contained given the root instance,
-//! however that instance arrived. On completion it prints a single
-//! machine-parseable `FTBB-OUTCOME` line to stdout for the launcher to
-//! collect.
+//! Every node is a service pump ([`ServiceEngine`]) that multiplexes jobs
+//! over one mesh; the two modes share that startup and differ only in
+//! how jobs arrive. A **single-run** node ([`run`]) admits job 0
+//! ([`JobId::DEFAULT`]) before the pump starts and exits when it halts.
+//! It materializes the instance from its spec — regenerated from
+//! generator parameters, loaded from a tree file, or (with `--problem
+//! wire`) received in the root's problem-announce frame — and drives the
+//! *identical* [`BnbProcess`] state machine the simulator and the
+//! threaded runtime use; only the transport and the clock differ. On
+//! completion it prints a single machine-parseable `FTBB-OUTCOME` line to
+//! stdout for the launcher to collect. A **service** node
+//! ([`run_service`]) admits jobs while it runs, from `ftbb-submit`
+//! clients and peer announces, until its deadline.
 //!
 //! **Membership** (`--gossip-servers`): instead of a static member list,
 //! the daemon runs the §5.2 gossip protocol — it joins through its
@@ -32,16 +36,18 @@
 //! piggybacked on membership frames) through gossip. This is how a
 //! brand-new machine enters a live cluster mid-run.
 //!
-//! **Lifecycle**: with `--checkpoint-dir` the engine persists snapshots
-//! (`node-<id>.ckpt`, atomic write-rename) at startup, every
-//! `--checkpoint-every-s`, and at clean exit. With `--resume` the daemon
-//! restores that snapshot instead of starting fresh: it comes back as the
-//! next **incarnation** of its node, takes the problem binding from the
-//! checkpoint (no `--problem*` flags, no announce wait), replays the
-//! readiness barrier for itself, and sends a rejoin frame so every peer
-//! re-registers it — new address and all — and starts tagging traffic
-//! for its new life. Frames addressed to (or sent by) the previous life
-//! are counted and dropped as stale by the transport.
+//! **Lifecycle**: with `--checkpoint-dir` every job persists snapshots to
+//! its own `node-<id>-job-<job>.ckpt` (atomic write-rename; a single-run
+//! node is job 0) at startup, every `--checkpoint-every-s`, and at clean
+//! exit. With `--resume` the daemon restores those snapshots instead of
+//! starting fresh (a single-run node its job 0, a service node all of
+//! them): it comes back as the next **incarnation** of its node, takes
+//! each problem binding from its checkpoint (no `--problem*` flags, no
+//! announce wait), replays the readiness barrier for itself, and sends a
+//! rejoin frame so every peer re-registers it — new address and all —
+//! and starts tagging traffic for its new life. Frames addressed to (or
+//! sent by) the previous life are counted and dropped as stale by the
+//! transport.
 
 use crate::codec::{encode_accepted, encode_result, RejoinSummary};
 use crate::config::{NodeConfig, ProblemSpec};
@@ -53,8 +59,9 @@ use ftbb_core::{
     AnyExpander, BnbProcess, Checkpoint, CheckpointSink, Expander, JobId, PhaseTimes,
     ProtocolConfig, Telemetry, TransportStats,
 };
+use ftbb_des::SimTime;
 use ftbb_runtime::{
-    ClusterConfig, CrashSwitch, JobEngine, JobOutcome, MetricsSnapshot, NodeEngine, NodeOutcome,
+    ClusterConfig, CrashSwitch, Envelope, JobEngine, JobOutcome, MetricsSnapshot, NodeOutcome,
     ServiceEngine, ServiceHooks, ServiceOutcome, Transport,
 };
 use std::collections::HashSet;
@@ -82,88 +89,57 @@ pub struct NodedReport {
     pub workers: usize,
 }
 
-/// Checkpoint file of node `id` under `dir` — shared between the daemon
-/// (writing) and whoever restarts it (passing `--resume`).
-pub fn checkpoint_path(dir: &Path, id: u32) -> PathBuf {
-    dir.join(format!("node-{id}.ckpt"))
-}
-
-/// The durable checkpoint sink: snapshots land in
-/// [`checkpoint_path`]`(dir, id)` via atomic write-rename (write the blob
-/// to `…tmp`, then rename over the live file), so a crash mid-write can
-/// never leave a torn checkpoint — the previous snapshot survives intact.
-pub struct DirSink {
-    path: PathBuf,
-    tmp: PathBuf,
-}
-
-impl DirSink {
-    /// Create the directory (if needed) and the sink for node `id`.
-    pub fn new(dir: &Path, id: u32) -> std::io::Result<DirSink> {
-        std::fs::create_dir_all(dir)?;
-        let path = checkpoint_path(dir, id);
-        let tmp = dir.join(format!("node-{id}.ckpt.tmp"));
-        Ok(DirSink { path, tmp })
-    }
-}
-
-impl CheckpointSink for DirSink {
-    fn store(&mut self, chk: &Checkpoint) -> Result<(), String> {
-        std::fs::write(&self.tmp, chk.encode())
-            .map_err(|e| format!("write {}: {e}", self.tmp.display()))?;
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| format!("rename into {}: {e}", self.path.display()))
-    }
-}
-
-/// Checkpoint file of job `job` on node `id` under `dir` — the
-/// service-mode layout: one file per job, so a job completing (or a new
-/// one arriving) never rewrites another job's durable state.
-pub fn service_checkpoint_path(dir: &Path, id: u32, job: JobId) -> PathBuf {
+/// Checkpoint file of job `job` on node `id` under `dir` — one file per
+/// job, so a job completing (or a new one arriving) never rewrites
+/// another job's durable state. A single-run node is job 0.
+pub fn job_checkpoint_path(dir: &Path, id: u32, job: JobId) -> PathBuf {
     dir.join(format!("node-{id}-job-{}.ckpt", job.raw()))
 }
 
-/// The service-mode checkpoint sink: snapshots route to
-/// [`service_checkpoint_path`]`(dir, id, chk.job)` by the job id each
-/// checkpoint carries, with the same atomic write-rename discipline as
-/// [`DirSink`].
-pub struct ServiceDirSink {
+/// The durable checkpoint sink: snapshots route to
+/// [`job_checkpoint_path`]`(dir, id, chk.job)` by the job id each
+/// checkpoint carries, via atomic write-rename (write the blob to
+/// `….tmp`, then rename over the live file), so a crash mid-write can
+/// never leave a torn checkpoint — the previous snapshot survives intact.
+pub struct CheckpointDir {
     dir: PathBuf,
     id: u32,
 }
 
-impl ServiceDirSink {
-    /// Create the directory (if needed) and the per-job sink for node
-    /// `id`.
-    pub fn new(dir: &Path, id: u32) -> std::io::Result<ServiceDirSink> {
+impl CheckpointDir {
+    /// Create the directory (if needed) and the sink for node `id`.
+    pub fn new(dir: &Path, id: u32) -> std::io::Result<CheckpointDir> {
         std::fs::create_dir_all(dir)?;
-        Ok(ServiceDirSink {
+        Ok(CheckpointDir {
             dir: dir.to_path_buf(),
             id,
         })
     }
 }
 
-impl CheckpointSink for ServiceDirSink {
+impl CheckpointSink for CheckpointDir {
     fn store(&mut self, chk: &Checkpoint) -> Result<(), String> {
-        let path = service_checkpoint_path(&self.dir, self.id, chk.job);
-        let tmp = self
-            .dir
-            .join(format!("node-{}-job-{}.ckpt.tmp", self.id, chk.job.raw()));
+        let path = job_checkpoint_path(&self.dir, self.id, chk.job);
+        let tmp = path.with_extension("ckpt.tmp");
         std::fs::write(&tmp, chk.encode()).map_err(|e| format!("write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path).map_err(|e| format!("rename into {}: {e}", path.display()))
     }
 }
 
-/// Scan `dir` for node `id`'s per-job checkpoints (the
-/// [`service_checkpoint_path`] layout) and decode every one. Corrupt or
-/// foreign files are errors — a service restore must never silently
-/// drop a job.
-pub fn scan_service_checkpoints(dir: &Path, id: u32) -> std::io::Result<Vec<Checkpoint>> {
+/// Scan `dir` for node `id`'s checkpoints (the [`job_checkpoint_path`]
+/// layout) and decode every one, sorted by job. Corrupt or foreign files
+/// are errors — a restore must never silently drop a job.
+pub fn scan_checkpoints(dir: &Path, id: u32) -> std::io::Result<Vec<Checkpoint>> {
     let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let prefix = format!("node-{id}-job-");
     let mut found = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
+    let entries = std::fs::read_dir(dir).map_err(|e| {
+        std::io::Error::new(
+            e.kind(),
+            format!("cannot read checkpoint directory {}: {e}", dir.display()),
+        )
+    })?;
+    for entry in entries {
         let path = entry?.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
@@ -188,9 +164,54 @@ pub fn scan_service_checkpoints(dir: &Path, id: u32) -> std::io::Result<Vec<Chec
     Ok(found)
 }
 
+/// What one service-mode daemon run produced.
+#[derive(Debug)]
+pub struct ServiceReport {
+    /// The pump's outcome: one [`JobOutcome`] per admitted job.
+    pub outcome: ServiceOutcome,
+    /// Transport-layer counters at exit.
+    pub transport: TransportStats,
+    /// Trace events the telemetry sink had to shed.
+    pub trace_events_dropped: u64,
+}
+
 /// Run one node to completion (termination, deadline, or config-driven
-/// crash).
+/// crash): a service pump with job 0 admitted up front that exits when
+/// that job halts.
 pub fn run(cfg: &NodeConfig) -> std::io::Result<NodedReport> {
+    startup(cfg)?.run_single(cfg)
+}
+
+/// Run one node as a member of a long-lived solve pool: admit jobs from
+/// `ftbb-submit` clients (becoming their gateway) and from peer
+/// announces, multiplex every live job over the one mesh, and stream
+/// results back to submitters until the deadline (or a config-driven
+/// crash).
+pub fn run_service(cfg: &NodeConfig) -> std::io::Result<ServiceReport> {
+    startup(cfg)?.serve(cfg)
+}
+
+/// A node past startup: listener bound and announced, topology learned,
+/// mesh up and past the readiness barrier, engine configured, and every
+/// restored job admitted. The two modes differ only in what comes next.
+struct Node {
+    mesh: TcpMesh,
+    inbox: Receiver<Envelope>,
+    telemetry: Telemetry,
+    engine: ServiceEngine<AnyExpander>,
+    protocol: ProtocolConfig,
+    /// The statically wired peers (empty for a lone node or a joiner).
+    peers: Vec<(u32, SocketAddr)>,
+    members: Vec<u32>,
+    /// Jobs restored from checkpoints, already admitted to `engine`.
+    restored: HashSet<JobId>,
+}
+
+/// The one startup path both modes share: bind and print the ready line,
+/// learn the wiring, resolve the gossip servers, load checkpoints (with
+/// `--resume`), open the trace, build the mesh, run the readiness
+/// barrier, and configure the engine with the restored jobs admitted.
+fn startup(cfg: &NodeConfig) -> std::io::Result<Node> {
     cfg.validate()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
     let bad_input = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
@@ -212,13 +233,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodedReport> {
     if peers.iter().any(|&(id, _)| id == cfg.id) {
         return Err(bad_input(format!("peer wiring contains own id {}", cfg.id)));
     }
-
     let members = crate::config::member_ids(cfg.id, &peers);
-    // Same election and seed mixing as the threaded harness — the
-    // state machine must behave identically in every deployment. A
-    // joiner never holds the root: it enters a computation that is
-    // already running somewhere else.
-    let holds_root = !cfg.join && ftbb_runtime::holds_root(cfg.id, &members);
 
     // Membership mode: resolve the gossip-server roster against the
     // wiring. Addressed entries (`0=HOST:PORT`) become mesh routes on
@@ -246,33 +261,36 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodedReport> {
         }
     }
 
-    // Resuming? Load the snapshot *before* the mesh exists: the mesh
+    // Resuming? Load the snapshots *before* the mesh exists: the mesh
     // must be born as the next incarnation so every frame it emits is
-    // tagged for the new life.
-    let restored: Option<Checkpoint> = if cfg.resume {
+    // tagged for the new life. A service node rejoins every job it left
+    // behind; a single-run node only its job 0.
+    let restored: Vec<Checkpoint> = if cfg.resume {
         let dir = cfg.checkpoint_dir.as_ref().expect("validated with resume");
-        let path = checkpoint_path(dir, cfg.id);
-        let blob = std::fs::read(&path).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("cannot read checkpoint {}: {e}", path.display()),
-            )
-        })?;
-        let chk = Checkpoint::decode(&blob)
-            .map_err(|e| bad_input(format!("corrupt checkpoint {}: {e}", path.display())))?;
-        if chk.me != cfg.id {
-            return Err(bad_input(format!(
-                "checkpoint {} belongs to node {}, not node {}",
-                path.display(),
-                chk.me,
-                cfg.id
-            )));
+        let mut found = scan_checkpoints(dir, cfg.id)?;
+        if !cfg.service {
+            found.retain(|chk| chk.job == JobId::DEFAULT);
         }
-        Some(chk)
+        if found.is_empty() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!(
+                    "no checkpoint to resume for node {} under {}",
+                    cfg.id,
+                    dir.display()
+                ),
+            ));
+        }
+        found
     } else {
-        None
+        Vec::new()
     };
-    let incarnation = restored.as_ref().map_or(0, |chk| chk.incarnation + 1);
+    // One incarnation per node life, shared by every restored job.
+    let incarnation = restored
+        .iter()
+        .map(|chk| chk.incarnation + 1)
+        .max()
+        .unwrap_or(0);
 
     // Structured tracing: with `--trace-file` every lifecycle event of
     // this node (and of its engine) lands as one JSONL record. The file
@@ -295,6 +313,7 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodedReport> {
             ("peers", peers.len().to_string()),
             ("resume", cfg.resume.to_string()),
             ("join", cfg.join.to_string()),
+            ("service", cfg.service.to_string()),
         ],
     );
 
@@ -337,18 +356,6 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodedReport> {
         mesh.send_join();
     }
 
-    // Phase 4: resolve the workload and build the engine.
-    //
-    // * Resume: state and problem binding come from the checkpoint; the
-    //   daemon announces its rejoin (id, new incarnation, new address,
-    //   resume summary) so peers re-register it, then starts.
-    // * Fresh with a concrete spec: materialize locally; the root
-    //   additionally announces the instance so `--problem wire` peers
-    //   can join a computation whose instance they never generated.
-    // * Fresh `--problem wire`: wait for the root's announce.
-    //
-    // All of this happens after the readiness barrier, so handshake
-    // frames ride connections that already exist.
     // Millisecond-scale protocol timers, same profile as the threaded
     // harness (ClusterConfig::new); node count only sizes defaults. In
     // membership mode the gossip knobs ride along — including into
@@ -359,142 +366,11 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodedReport> {
         p.bound_flush_s = cfg.bound_flush_s;
         p
     };
-    let mut engine: NodeEngine<AnyExpander> = match &restored {
-        Some(chk) => {
-            let engine = NodeEngine::restore(
-                chk,
-                protocol.clone(),
-                ftbb_runtime::node_seed(cfg.seed, cfg.id),
-            )
-            .map_err(bad_input)?;
-            telemetry.emit(
-                "resume",
-                &[
-                    ("table_codes", chk.table.len().to_string()),
-                    ("pooled", chk.pool.len().to_string()),
-                    ("incumbent", chk.incumbent.to_string()),
-                ],
-            );
-            eprintln!(
-                "ftbb-noded: node {} resuming as incarnation {} ({} table codes, {} pooled, \
-                 incumbent {})",
-                cfg.id,
-                engine.incarnation(),
-                chk.table.len(),
-                chk.pool.len(),
-                chk.incumbent
-            );
-            mesh.send_rejoin(RejoinSummary {
-                incumbent: chk.incumbent,
-                table_codes: chk.table.len() as u32,
-                pool_len: chk.pool.len() as u32,
-            });
-            engine
-        }
-        None => {
-            let instance: AnyInstance = match &cfg.problem {
-                ProblemSpec::Wire => {
-                    if holds_root {
-                        return Err(bad_input(format!(
-                            "node {} would hold the root subproblem but has --problem wire; \
-                             the root must own a concrete problem spec",
-                            cfg.id
-                        )));
-                    }
-                    let patience = Duration::from_secs_f64(cfg.preconnect_s) + ANNOUNCE_GRACE;
-                    match mesh.recv_announce(patience) {
-                        Some((from, _job, instance)) => {
-                            telemetry.emit(
-                                "announce_recv",
-                                &[
-                                    ("from", from.to_string()),
-                                    ("kind", instance.kind().to_string()),
-                                ],
-                            );
-                            eprintln!(
-                                "ftbb-noded: received {} instance from node {from}",
-                                instance.kind()
-                            );
-                            instance
-                        }
-                        None => {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::TimedOut,
-                                format!(
-                                    "no problem announce arrived within {:.1}s",
-                                    patience.as_secs_f64()
-                                ),
-                            ));
-                        }
-                    }
-                }
-                spec => {
-                    let instance = spec.instance().map_err(|e| bad_input(e.to_string()))?;
-                    if holds_root
-                        && !peers.is_empty()
-                        && !mesh.announce_instance(JobId::DEFAULT, &instance)
-                    {
-                        // Not fatal: peers with concrete specs never read the
-                        // announce, so this cluster still runs. Only `--problem
-                        // wire` peers are affected — they will time out waiting
-                        // with their own clear error.
-                        telemetry.emit(
-                            "announce_too_large",
-                            &[("kind", instance.kind().to_string())],
-                        );
-                        eprintln!(
-                            "ftbb-noded: {} instance exceeds the announce frame limit; \
-                             --problem wire peers (if any) cannot be served — give every \
-                             node the concrete spec instead (e.g. --problem tree-file)",
-                            instance.kind()
-                        );
-                    }
-                    instance
-                }
-            };
-            let expander = AnyExpander::new(instance.clone());
-            let core = if cfg.gossip_mode() {
-                // Membership mode: the member list is the gossip view's
-                // alive set. Wired nodes seed the view with their peer
-                // map (immediate load-balancing targets whose heartbeats
-                // must then keep arriving); a joiner starts knowing only
-                // its servers and learns the world from the Welcome.
-                let server_ids: Vec<u32> = cfg.gossip_servers.iter().map(|&(id, _)| id).collect();
-                let mut p = BnbProcess::with_membership(
-                    cfg.id,
-                    server_ids,
-                    cfg.is_gossip_server(),
-                    protocol.clone(),
-                    expander.root_bound(),
-                    holds_root,
-                    ftbb_runtime::node_seed(cfg.seed, cfg.id),
-                    ftbb_des::SimTime::ZERO,
-                );
-                if !cfg.join {
-                    p.seed_membership_view(&members, ftbb_des::SimTime::ZERO);
-                }
-                p
-            } else {
-                BnbProcess::new(
-                    cfg.id,
-                    members.clone(),
-                    protocol.clone(),
-                    expander.root_bound(),
-                    holds_root,
-                    ftbb_runtime::node_seed(cfg.seed, cfg.id),
-                )
-            };
-            let mut engine = NodeEngine::new(core, expander);
-            // Bound checkpoints are self-sufficient: `--resume` needs
-            // neither a problem spec nor an announce.
-            engine.bind_problem(instance);
-            engine
-        }
-    };
 
     // The engine inherits the node's trace sink, and — with
     // `--metrics-every-s` — reports interval `FTBB-METRICS` lines on
     // stdout, flushed per line so the launcher can tail them live.
+    let mut engine: ServiceEngine<AnyExpander> = ServiceEngine::new(cfg.id, incarnation);
     engine.set_telemetry(telemetry.clone());
     engine.set_workers(cfg.workers);
     if let Some(every_s) = cfg.metrics_every_s {
@@ -507,62 +383,287 @@ pub fn run(cfg: &NodeConfig) -> std::io::Result<NodedReport> {
         );
     }
 
-    // Config-driven crash: a genuine process death (abort), not a
-    // simulated one — peers see only silence. The clock starts after the
-    // readiness barrier, so `crash_at_s` measures computation time, not
-    // wiring or pre-establishment time.
-    if let Some(crash_at) = cfg.crash_at_s {
-        let delay = Duration::from_secs_f64(crash_at.max(0.0));
-        std::thread::spawn(move || {
-            std::thread::sleep(delay);
-            std::process::abort();
-        });
+    // The restored jobs are admitted before the pump starts — state and
+    // problem binding come from each checkpoint; one rejoin frame
+    // (aggregated across jobs) re-registers this node's new life with
+    // every peer. All of this happens after the readiness barrier, so
+    // handshake frames ride connections that already exist.
+    for chk in &restored {
+        let job = JobEngine::restore(
+            chk,
+            protocol.clone(),
+            ftbb_runtime::node_seed(cfg.seed ^ chk.job.raw(), cfg.id),
+        )
+        .map_err(bad_input)?;
+        telemetry.emit(
+            "job_restored",
+            &[
+                ("job", chk.job.raw().to_string()),
+                ("table_codes", chk.table.len().to_string()),
+                ("pooled", chk.pool.len().to_string()),
+                ("incumbent", chk.incumbent.to_string()),
+            ],
+        );
+        engine.admit(job);
+    }
+    if !restored.is_empty() {
+        let summary = RejoinSummary {
+            incumbent: restored
+                .iter()
+                .map(|chk| chk.incumbent)
+                .fold(f64::INFINITY, f64::min),
+            table_codes: restored.iter().map(|chk| chk.table.len() as u32).sum(),
+            pool_len: restored.iter().map(|chk| chk.pool.len() as u32).sum(),
+        };
+        eprintln!(
+            "ftbb-noded: node {} resuming as incarnation {incarnation} ({} job(s), {} table \
+             codes, {} pooled, incumbent {})",
+            cfg.id,
+            restored.len(),
+            summary.table_codes,
+            summary.pool_len,
+            summary.incumbent
+        );
+        mesh.send_rejoin(summary);
     }
 
-    let deadline = Duration::from_secs_f64(cfg.deadline_s);
-    let outcome = match &cfg.checkpoint_dir {
-        Some(dir) => {
-            let mut sink = DirSink::new(dir, cfg.id)?;
-            engine.run_with_sink(
-                &mesh,
-                inbox,
-                CrashSwitch::default(),
-                deadline,
-                &mut sink,
-                Some(Duration::from_secs_f64(cfg.checkpoint_every_s)),
-            )
-        }
-        None => engine.run(&mesh, inbox, CrashSwitch::default(), deadline),
-    }
-    .expect("crash switch is never tripped in-process");
-
-    // Let writer threads flush queued frames so the counters reflect
-    // every settled send before the snapshot.
-    mesh.drain(Duration::from_millis(500));
-
-    // Dropping the last telemetry handle (the engine's clone died with
-    // the engine) joins the trace writer: the file is complete before
-    // the outcome line goes out.
-    let trace_events_dropped = telemetry.events_dropped();
-    drop(telemetry);
-
-    Ok(NodedReport {
-        transport: mesh.stats(),
-        outcome,
-        trace_events_dropped,
-        workers: cfg.workers,
+    Ok(Node {
+        mesh,
+        inbox,
+        telemetry,
+        engine,
+        protocol,
+        peers,
+        members,
+        restored: restored.iter().map(|chk| chk.job).collect(),
     })
 }
 
-/// What one service-mode daemon run produced.
-#[derive(Debug)]
-pub struct ServiceReport {
-    /// The pump's outcome: one [`JobOutcome`] per admitted job.
-    pub outcome: ServiceOutcome,
-    /// Transport-layer counters at exit.
-    pub transport: TransportStats,
-    /// Trace events the telemetry sink had to shed.
-    pub trace_events_dropped: u64,
+/// A job-admission loop run beside the pump on its own thread (service
+/// mode); told to stop through the flag once the pump exits.
+type Beside<'a> = Box<dyn FnOnce(&TcpMesh, &AtomicBool) + Send + 'a>;
+
+impl Node {
+    /// Single-run mode: admit job 0 — restored at startup, or fresh from
+    /// the concrete spec, the root's announce, or `--join` — and pump
+    /// until it halts.
+    fn run_single(mut self, cfg: &NodeConfig) -> std::io::Result<NodedReport> {
+        if self.restored.is_empty() {
+            let job = self.fresh_job(cfg)?;
+            self.engine.admit(job);
+        }
+        let (outcome, transport, trace_events_dropped) = self.pump(cfg, None)?;
+        Ok(NodedReport {
+            outcome: NodeOutcome::from_single_job(outcome),
+            transport,
+            trace_events_dropped,
+            workers: cfg.workers,
+        })
+    }
+
+    /// Job 0 of a fresh single-run node. With a concrete spec the
+    /// instance is materialized locally, and the root additionally
+    /// announces it so `--problem wire` peers can join a computation
+    /// whose instance they never generated; with `--problem wire` the
+    /// node waits for that announce.
+    fn fresh_job(&self, cfg: &NodeConfig) -> std::io::Result<JobEngine<AnyExpander>> {
+        let bad_input = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+        // Same election as the threaded harness. A joiner never holds
+        // the root: it enters a computation that is already running
+        // somewhere else.
+        let holds_root = !cfg.join && ftbb_runtime::holds_root(cfg.id, &self.members);
+        let instance = match &cfg.problem {
+            ProblemSpec::Wire => {
+                if holds_root {
+                    return Err(bad_input(format!(
+                        "node {} would hold the root subproblem but has --problem wire; \
+                         the root must own a concrete problem spec",
+                        cfg.id
+                    )));
+                }
+                let patience = Duration::from_secs_f64(cfg.preconnect_s) + ANNOUNCE_GRACE;
+                let Some((from, _job, instance)) = self.mesh.recv_announce(patience) else {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::TimedOut,
+                        format!(
+                            "no problem announce arrived within {:.1}s",
+                            patience.as_secs_f64()
+                        ),
+                    ));
+                };
+                self.telemetry.emit(
+                    "announce_recv",
+                    &[
+                        ("from", from.to_string()),
+                        ("kind", instance.kind().to_string()),
+                    ],
+                );
+                eprintln!(
+                    "ftbb-noded: received {} instance from node {from}",
+                    instance.kind()
+                );
+                instance
+            }
+            spec => {
+                let instance = spec.instance().map_err(|e| bad_input(e.to_string()))?;
+                if holds_root
+                    && !self.peers.is_empty()
+                    && !self.mesh.announce_instance(JobId::DEFAULT, &instance)
+                {
+                    // Not fatal: peers with concrete specs never read the
+                    // announce, so this cluster still runs. Only `--problem
+                    // wire` peers are affected — they will time out waiting
+                    // with their own clear error.
+                    self.telemetry.emit(
+                        "announce_too_large",
+                        &[("kind", instance.kind().to_string())],
+                    );
+                    eprintln!(
+                        "ftbb-noded: {} instance exceeds the announce frame limit; \
+                         --problem wire peers (if any) cannot be served — give every \
+                         node the concrete spec instead (e.g. --problem tree-file)",
+                        instance.kind()
+                    );
+                }
+                instance
+            }
+        };
+        Ok(build_job(
+            cfg,
+            &self.protocol,
+            &self.members,
+            SimTime::ZERO,
+            JobId::DEFAULT,
+            instance,
+            holds_root,
+        ))
+    }
+
+    /// Service mode: run to the deadline, admitting jobs from submitters
+    /// and peer announces on an admission thread beside the pump.
+    fn serve(mut self, cfg: &NodeConfig) -> std::io::Result<ServiceReport> {
+        self.engine.daemon(true);
+
+        // Mid-flight admission: the admission thread turns submissions
+        // and peer announces into job engines; the pump drains this
+        // channel.
+        let (admit_tx, admit_rx) = crossbeam::channel::unbounded();
+        self.engine.set_admissions(admit_rx);
+
+        // Hooks run on the pump thread; socket writes happen on the
+        // admission thread, connected by this queue.
+        let (reply_tx, reply_rx) = crossbeam::channel::unbounded::<SubmitReply>();
+        let incumbent_tx = reply_tx.clone();
+        self.engine.set_hooks(ServiceHooks {
+            on_admitted: None,
+            on_incumbent: Some(Box::new(move |job, incumbent| {
+                let _ = incumbent_tx.send(SubmitReply::Result {
+                    job,
+                    finished: false,
+                    incumbent,
+                    expanded: 0,
+                });
+            })),
+            on_complete: Some(Box::new(move |outcome: &JobOutcome| {
+                println!("{}", job_line(outcome));
+                let _ = std::io::stdout().flush();
+                let _ = reply_tx.send(SubmitReply::Result {
+                    job: outcome.job,
+                    finished: outcome.terminated,
+                    incumbent: outcome.incumbent,
+                    expanded: outcome.metrics.expanded,
+                });
+            })),
+        });
+
+        let protocol = self.protocol.clone();
+        let members = self.members.clone();
+        let telemetry = self.telemetry.clone();
+        let seen = self.restored.clone();
+        let epoch = Instant::now();
+        let admitter: Beside<'_> = Box::new(move |mesh, stop| {
+            admission_loop(
+                mesh, cfg, &protocol, &members, epoch, seen, admit_tx, reply_rx, stop, &telemetry,
+            )
+        });
+        let (outcome, transport, trace_events_dropped) = self.pump(cfg, Some(admitter))?;
+        Ok(ServiceReport {
+            outcome,
+            transport,
+            trace_events_dropped,
+        })
+    }
+
+    /// The tail both modes share: arm the config-driven crash, run the
+    /// pump (persisting every job with `--checkpoint-dir`) with `beside`
+    /// on a scoped thread, then drain the writers and close the trace.
+    /// Returns the pump's outcome, the transport counters, and the trace
+    /// events shed.
+    fn pump(
+        self,
+        cfg: &NodeConfig,
+        beside: Option<Beside<'_>>,
+    ) -> std::io::Result<(ServiceOutcome, TransportStats, u64)> {
+        let Node {
+            mesh,
+            inbox,
+            telemetry,
+            engine,
+            ..
+        } = self;
+        // Build the sink up front so io errors surface cleanly.
+        let mut sink = match &cfg.checkpoint_dir {
+            Some(dir) => Some(CheckpointDir::new(dir, cfg.id)?),
+            None => None,
+        };
+
+        // Config-driven crash: a genuine process death (abort), not a
+        // simulated one — peers see only silence. The clock starts after
+        // the readiness barrier (and a `--problem wire` node's announce
+        // wait), so `crash_at_s` measures computation time, not wiring
+        // or pre-establishment time.
+        if let Some(crash_at) = cfg.crash_at_s {
+            let delay = Duration::from_secs_f64(crash_at.max(0.0));
+            std::thread::spawn(move || {
+                std::thread::sleep(delay);
+                std::process::abort();
+            });
+        }
+
+        let deadline = Duration::from_secs_f64(cfg.deadline_s);
+        let stop = AtomicBool::new(false);
+        let outcome = std::thread::scope(|scope| {
+            let beside = beside.map(|f| scope.spawn(|| f(&mesh, &stop)));
+            let outcome = match sink.as_mut() {
+                Some(sink) => engine.run_with_sink(
+                    &mesh,
+                    inbox,
+                    CrashSwitch::default(),
+                    deadline,
+                    sink,
+                    Some(Duration::from_secs_f64(cfg.checkpoint_every_s)),
+                ),
+                None => engine.run(&mesh, inbox, CrashSwitch::default(), deadline),
+            };
+            stop.store(true, Ordering::Release);
+            if let Some(handle) = beside {
+                handle.join().expect("admission thread never panics");
+            }
+            outcome
+        })
+        .expect("crash switch is never tripped in-process");
+
+        // Let writer threads flush queued frames so the counters reflect
+        // every settled send before the snapshot.
+        mesh.drain(Duration::from_millis(500));
+
+        // Dropping the last telemetry handle (the engine's clone died
+        // with the engine) joins the trace writer: the file is complete
+        // before the outcome line goes out.
+        let trace_events_dropped = telemetry.events_dropped();
+        drop(telemetry);
+        Ok((outcome, mesh.stats(), trace_events_dropped))
+    }
 }
 
 /// A reply the pump's hooks queue for the admission thread to write back
@@ -578,261 +679,6 @@ enum SubmitReply {
         incumbent: f64,
         expanded: u64,
     },
-}
-
-/// Run one node as a member of a long-lived solve pool: admit jobs from
-/// `ftbb-submit` clients (becoming their gateway) and from peer
-/// announces, multiplex every live job over the one mesh, and stream
-/// results back to submitters until the deadline (or a config-driven
-/// crash).
-pub fn run_service(cfg: &NodeConfig) -> std::io::Result<ServiceReport> {
-    cfg.validate()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
-    let bad_input = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
-
-    // Same two-phase startup as the single-run daemon: bind + announce
-    // the resolved address, then learn the topology.
-    let listener = TcpListener::bind(cfg.listen)?;
-    let local_addr = listener.local_addr()?;
-    println!("{}", ready_line(cfg.id, local_addr));
-    std::io::stdout().flush()?;
-
-    let peers = if cfg.peers_from_stdin {
-        read_peer_wiring(std::io::stdin().lock())?
-    } else {
-        cfg.peers.clone()
-    };
-    if peers.iter().any(|&(id, _)| id == cfg.id) {
-        return Err(bad_input(format!("peer wiring contains own id {}", cfg.id)));
-    }
-    let members = crate::config::member_ids(cfg.id, &peers);
-
-    let mut mesh_peers = peers.clone();
-    for &(sid, addr) in &cfg.gossip_servers {
-        if sid == cfg.id {
-            continue;
-        }
-        match addr {
-            Some(a) => {
-                if !mesh_peers.iter().any(|&(id, _)| id == sid) {
-                    mesh_peers.push((sid, a));
-                }
-            }
-            None => {
-                if !peers.iter().any(|&(id, _)| id == sid) {
-                    return Err(bad_input(format!(
-                        "gossip server {sid} has no address and is not in the peer wiring; \
-                         give it as {sid}=HOST:PORT"
-                    )));
-                }
-            }
-        }
-    }
-
-    // Restore EVERY job checkpoint this node left behind: a restarted
-    // service member rejoins each in-flight computation, not just one.
-    let restored: Vec<Checkpoint> = if cfg.resume {
-        let dir = cfg.checkpoint_dir.as_ref().expect("validated with resume");
-        let found = scan_service_checkpoints(dir, cfg.id)?;
-        if found.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!(
-                    "no job checkpoints for node {} under {}",
-                    cfg.id,
-                    dir.display()
-                ),
-            ));
-        }
-        found
-    } else {
-        Vec::new()
-    };
-    // One incarnation per node life, shared by every restored job.
-    let incarnation = restored
-        .iter()
-        .map(|chk| chk.incarnation + 1)
-        .max()
-        .unwrap_or(0);
-
-    let telemetry = match &cfg.trace_file {
-        Some(path) => {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)?;
-            Telemetry::to_writer(cfg.id, incarnation, Box::new(file))
-        }
-        None => Telemetry::disabled(),
-    };
-    telemetry.emit(
-        "service_start",
-        &[
-            ("addr", local_addr.to_string()),
-            ("peers", peers.len().to_string()),
-            ("restored_jobs", restored.len().to_string()),
-        ],
-    );
-
-    let (mesh, inbox) = TcpMesh::from_listener_incarnated_with(
-        cfg.id,
-        incarnation,
-        listener,
-        &mesh_peers,
-        cfg.wire_config(),
-    )?;
-    if !mesh.ready(Duration::from_secs_f64(cfg.preconnect_s)) {
-        telemetry.emit(
-            "barrier_timeout",
-            &[("budget_s", cfg.preconnect_s.to_string())],
-        );
-        eprintln!(
-            "ftbb-noded: readiness barrier timed out after {}s; starting on a partial mesh",
-            cfg.preconnect_s
-        );
-    }
-
-    let protocol = {
-        let mut p = ClusterConfig::new(members.len() as u32).protocol;
-        p.membership = cfg.membership();
-        p.bound_flush_s = cfg.bound_flush_s;
-        p
-    };
-
-    let mut engine: ServiceEngine<AnyExpander> = ServiceEngine::new(cfg.id, incarnation);
-    engine.daemon(true);
-    engine.set_telemetry(telemetry.clone());
-    engine.set_workers(cfg.workers);
-    if let Some(every_s) = cfg.metrics_every_s {
-        engine.set_metrics_reporter(
-            Duration::from_secs_f64(every_s),
-            Box::new(|snap: &MetricsSnapshot| {
-                println!("{}", metrics_line(snap));
-                let _ = std::io::stdout().flush();
-            }),
-        );
-    }
-
-    // The restored jobs are admitted before the pump starts; one rejoin
-    // frame (aggregated across jobs) re-registers this node's new life
-    // with every peer.
-    let mut seen_jobs: HashSet<JobId> = HashSet::new();
-    for chk in &restored {
-        seen_jobs.insert(chk.job);
-        let job_engine = JobEngine::restore(
-            chk,
-            protocol.clone(),
-            ftbb_runtime::node_seed(cfg.seed ^ chk.job.raw(), cfg.id),
-        )
-        .map_err(bad_input)?;
-        telemetry.emit(
-            "job_restored",
-            &[
-                ("job", chk.job.raw().to_string()),
-                ("table_codes", chk.table.len().to_string()),
-                ("pooled", chk.pool.len().to_string()),
-                ("incumbent", chk.incumbent.to_string()),
-            ],
-        );
-        engine.admit(job_engine);
-    }
-    if !restored.is_empty() {
-        eprintln!(
-            "ftbb-noded: node {} resuming {} job(s) as incarnation {incarnation}",
-            cfg.id,
-            restored.len()
-        );
-        mesh.send_rejoin(RejoinSummary {
-            incumbent: restored
-                .iter()
-                .map(|chk| chk.incumbent)
-                .fold(f64::INFINITY, f64::min),
-            table_codes: restored.iter().map(|chk| chk.table.len() as u32).sum(),
-            pool_len: restored.iter().map(|chk| chk.pool.len() as u32).sum(),
-        });
-    }
-
-    // Mid-flight admission: the admission thread turns submissions and
-    // peer announces into job engines; the pump drains this channel.
-    let (admit_tx, admit_rx) = crossbeam::channel::unbounded();
-    engine.set_admissions(admit_rx);
-
-    // Hooks run on the pump thread; socket writes happen on the
-    // admission thread, connected by this queue.
-    let (reply_tx, reply_rx) = crossbeam::channel::unbounded::<SubmitReply>();
-    let incumbent_tx = reply_tx.clone();
-    engine.set_hooks(ServiceHooks {
-        on_admitted: None,
-        on_incumbent: Some(Box::new(move |job, incumbent| {
-            let _ = incumbent_tx.send(SubmitReply::Result {
-                job,
-                finished: false,
-                incumbent,
-                expanded: 0,
-            });
-        })),
-        on_complete: Some(Box::new(move |outcome: &JobOutcome| {
-            println!("{}", job_line(outcome));
-            let _ = std::io::stdout().flush();
-            let _ = reply_tx.send(SubmitReply::Result {
-                job: outcome.job,
-                finished: outcome.terminated,
-                incumbent: outcome.incumbent,
-                expanded: outcome.metrics.expanded,
-            });
-        })),
-    });
-
-    if let Some(crash_at) = cfg.crash_at_s {
-        let delay = Duration::from_secs_f64(crash_at.max(0.0));
-        std::thread::spawn(move || {
-            std::thread::sleep(delay);
-            std::process::abort();
-        });
-    }
-
-    // Build the sink before the scope so io errors surface cleanly.
-    let mut sink: Option<ServiceDirSink> = match &cfg.checkpoint_dir {
-        Some(dir) => Some(ServiceDirSink::new(dir, cfg.id)?),
-        None => None,
-    };
-
-    let deadline = Duration::from_secs_f64(cfg.deadline_s);
-    let epoch = Instant::now();
-    let stop = AtomicBool::new(false);
-    let outcome = std::thread::scope(|scope| {
-        let admitter = scope.spawn(|| {
-            admission_loop(
-                &mesh, cfg, &protocol, &members, epoch, seen_jobs, admit_tx, reply_rx, &stop,
-                &telemetry,
-            )
-        });
-        let outcome = match sink.as_mut() {
-            Some(sink) => engine.run_with_sink(
-                &mesh,
-                inbox,
-                CrashSwitch::default(),
-                deadline,
-                sink,
-                Some(Duration::from_secs_f64(cfg.checkpoint_every_s)),
-            ),
-            None => engine.run(&mesh, inbox, CrashSwitch::default(), deadline),
-        };
-        stop.store(true, Ordering::Release);
-        admitter.join().expect("admission thread never panics");
-        outcome
-    })
-    .expect("crash switch is never tripped in-process");
-
-    mesh.drain(Duration::from_millis(500));
-    let trace_events_dropped = telemetry.events_dropped();
-    drop(telemetry);
-
-    Ok(ServiceReport {
-        transport: mesh.stats(),
-        outcome,
-        trace_events_dropped,
-    })
 }
 
 /// The admission side of a service node: turn `SubmitJob` frames into
@@ -876,9 +722,8 @@ fn admission_loop(
                     );
                 }
                 mesh.send_submit_reply(job, &encode_accepted(job, cfg.id));
-                let _ = admit_tx.send(build_job(
-                    cfg, protocol, members, epoch, job, instance, true,
-                ));
+                let now = SimTime::from_secs_f64(epoch.elapsed().as_secs_f64());
+                let _ = admit_tx.send(build_job(cfg, protocol, members, now, job, instance, true));
             } else {
                 mesh.send_submit_reply(job, &encode_accepted(job, cfg.id));
             }
@@ -896,9 +741,8 @@ fn admission_loop(
                         ("kind", instance.kind().to_string()),
                     ],
                 );
-                let _ = admit_tx.send(build_job(
-                    cfg, protocol, members, epoch, job, instance, false,
-                ));
+                let now = SimTime::from_secs_f64(epoch.elapsed().as_secs_f64());
+                let _ = admit_tx.send(build_job(cfg, protocol, members, now, job, instance, false));
             }
         }
 
@@ -922,22 +766,29 @@ fn admission_loop(
     }
 }
 
-/// Build the per-job engine for a newly admitted job: one protocol core
-/// over the pool's membership, seeded per `(node, job)` so concurrent
-/// jobs make independent random choices.
+/// Build the engine for a newly admitted job, started at pump time
+/// `now`: one protocol core over the node's membership, seeded per
+/// `(node, job)` so concurrent jobs make independent random choices
+/// (job 0 keeps the plain node seed). Bound checkpoints are
+/// self-sufficient: `--resume` needs neither a problem spec nor an
+/// announce.
 fn build_job(
     cfg: &NodeConfig,
     protocol: &ProtocolConfig,
     members: &[u32],
-    epoch: Instant,
+    now: SimTime,
     job: JobId,
     instance: AnyInstance,
     holds_root: bool,
 ) -> JobEngine<AnyExpander> {
     let expander = AnyExpander::new(instance.clone());
     let seed = ftbb_runtime::node_seed(cfg.seed ^ job.raw(), cfg.id);
-    let now = ftbb_des::SimTime::from_secs_f64(epoch.elapsed().as_secs_f64());
     let core = if cfg.gossip_mode() {
+        // Membership mode: the member list is the gossip view's alive
+        // set. Wired nodes seed the view with their peer map (immediate
+        // load-balancing targets whose heartbeats must then keep
+        // arriving); a joiner starts knowing only its servers and learns
+        // the world from the Welcome.
         let server_ids: Vec<u32> = cfg.gossip_servers.iter().map(|&(id, _)| id).collect();
         let mut p = BnbProcess::with_membership(
             cfg.id,
@@ -949,7 +800,9 @@ fn build_job(
             seed,
             now,
         );
-        p.seed_membership_view(members, now);
+        if !cfg.join {
+            p.seed_membership_view(members, now);
+        }
         p
     } else {
         BnbProcess::new(
@@ -1601,44 +1454,6 @@ mod tests {
     }
 
     #[test]
-    fn dir_sink_writes_atomically_renamed_snapshots() {
-        let dir = std::env::temp_dir().join("ftbb-wire-dirsink-test");
-        std::fs::remove_dir_all(&dir).ok();
-        let mut sink = DirSink::new(&dir, 4).unwrap();
-
-        let p = BnbProcess::new(
-            4,
-            vec![3, 4],
-            ftbb_core::ProtocolConfig::default(),
-            0.0,
-            true,
-            1,
-        );
-        let chk = p.checkpoint().bind(
-            1,
-            Some(std::sync::Arc::new(AnyInstance::from(
-                ftbb_bnb::MaxSatInstance::generate(4, 8, 2),
-            ))),
-        );
-        sink.store(&chk).unwrap();
-
-        let path = checkpoint_path(&dir, 4);
-        let back = Checkpoint::decode(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(back, chk);
-        assert!(
-            !dir.join("node-4.ckpt.tmp").exists(),
-            "the tmp file must be renamed away"
-        );
-
-        // A second store overwrites in place (rename semantics).
-        let chk2 = chk.clone().bind(2, chk.problem.clone());
-        sink.store(&chk2).unwrap();
-        let back = Checkpoint::decode(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(back.incarnation, 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn job_and_service_lines_round_trip() {
         let outcome = JobOutcome {
             job: JobId::from(42),
@@ -1705,10 +1520,10 @@ mod tests {
     }
 
     #[test]
-    fn service_sink_routes_snapshots_per_job_and_scan_restores_all() {
-        let dir = std::env::temp_dir().join("ftbb-wire-servicesink-test");
+    fn job_sink_writes_atomically_renamed_snapshots_and_scan_restores_all() {
+        let dir = std::env::temp_dir().join("ftbb-wire-jobsink-test");
         std::fs::remove_dir_all(&dir).ok();
-        let mut sink = ServiceDirSink::new(&dir, 7).unwrap();
+        let mut sink = CheckpointDir::new(&dir, 7).unwrap();
 
         let problem = std::sync::Arc::new(AnyInstance::from(ftbb_bnb::MaxSatInstance::generate(
             4, 8, 2,
@@ -1726,34 +1541,55 @@ mod tests {
             .bind(0, Some(problem.clone()))
             .with_job(JobId::from(job))
         };
+
+        // Job 0 — the single-run job — lands in its own file, which
+        // decodes back to the stored snapshot; the tmp file is renamed
+        // away.
+        sink.store(&chk(0)).unwrap();
+        let path = job_checkpoint_path(&dir, 7, JobId::DEFAULT);
+        assert!(path.ends_with("node-7-job-0.ckpt"), "{}", path.display());
+        let back = Checkpoint::decode(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(back, chk(0));
+        assert!(
+            !dir.join("node-7-job-0.ckpt.tmp").exists(),
+            "the tmp file must be renamed away"
+        );
+
+        // A second store overwrites in place (rename semantics).
+        let chk2 = chk(0).bind(2, Some(problem.clone()));
+        sink.store(&chk2).unwrap();
+        let back = Checkpoint::decode(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(back.incarnation, 2);
+
+        // Other jobs route to their own files, never touching job 0's.
         sink.store(&chk(11)).unwrap();
         sink.store(&chk(22)).unwrap();
-
-        assert!(service_checkpoint_path(&dir, 7, JobId::from(11)).exists());
-        assert!(service_checkpoint_path(&dir, 7, JobId::from(22)).exists());
+        assert!(job_checkpoint_path(&dir, 7, JobId::from(11)).exists());
+        assert!(job_checkpoint_path(&dir, 7, JobId::from(22)).exists());
         assert!(
             !dir.join("node-7-job-11.ckpt.tmp").exists(),
             "tmp files must be renamed away"
         );
+        let back = Checkpoint::decode(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(back.incarnation, 2);
 
-        // The scan restores BOTH jobs (sorted), and skips other nodes'
+        // The scan restores EVERY job (sorted), and skips other nodes'
         // files.
-        sink.store(&chk(33)).unwrap(); // a third job
-        let mut other = ServiceDirSink::new(&dir, 8).unwrap();
+        let mut other = CheckpointDir::new(&dir, 8).unwrap();
         let mut foreign = chk(99);
         foreign.me = 8;
         other.store(&foreign).unwrap();
 
-        let found = scan_service_checkpoints(&dir, 7).unwrap();
+        let found = scan_checkpoints(&dir, 7).unwrap();
         assert_eq!(
             found.iter().map(|c| c.job.raw()).collect::<Vec<_>>(),
-            vec![11, 22, 33]
+            vec![0, 11, 22]
         );
         assert!(found.iter().all(|c| c.me == 7));
 
         // A corrupt file is a loud error, not a silently dropped job.
         std::fs::write(dir.join("node-7-job-44.ckpt"), b"garbage").unwrap();
-        assert!(scan_service_checkpoints(&dir, 7).is_err());
+        assert!(scan_checkpoints(&dir, 7).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1771,21 +1607,15 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
+        // The daemon reports the address it bound, so the submitter
+        // connects to a listener that exists.
         let (addr_tx, addr_rx) = std::sync::mpsc::channel();
         let handle = std::thread::spawn(move || {
-            // Capture the ready line's address by binding ourselves: use
-            // a pre-bound port so the submitter knows where to connect.
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            drop(listener);
-            let cfg = NodeConfig {
-                listen: addr,
-                ..cfg
-            };
-            addr_tx.send(addr).unwrap();
-            run_service(&cfg).expect("service runs")
+            let node = startup(&cfg).expect("service starts");
+            addr_tx.send(node.mesh.local_addr()).unwrap();
+            node.serve(&cfg).expect("service runs")
         });
-        let addr = addr_rx.recv().unwrap();
+        let addr = addr_rx.recv().expect("daemon bound its listener");
 
         let knap = AnyInstance::from(ftbb_bnb::KnapsackInstance::generate(
             14,
@@ -1871,7 +1701,10 @@ mod tests {
         };
         let first = run(&cfg).expect("first life runs");
         assert!(first.outcome.terminated);
-        assert!(checkpoint_path(&dir, 0).exists());
+        // Single-run is job 0 of the one checkpoint layout.
+        let path = job_checkpoint_path(&dir, 0, JobId::DEFAULT);
+        assert!(path.ends_with("node-0-job-0.ckpt"), "{}", path.display());
+        assert!(path.exists());
 
         let resumed_cfg = NodeConfig {
             resume: true,
@@ -1891,8 +1724,9 @@ mod tests {
         );
 
         // And the file now records the second life.
-        let chk = Checkpoint::decode(&std::fs::read(checkpoint_path(&dir, 0)).unwrap()).unwrap();
+        let chk = Checkpoint::decode(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(chk.incarnation, 1);
+        assert_eq!(chk.job, JobId::DEFAULT);
         std::fs::remove_dir_all(&dir).ok();
     }
 
