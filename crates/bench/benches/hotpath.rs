@@ -3,12 +3,16 @@
 //! touches a code clone (pool push, grant item, report, gossip) and a
 //! table walk (`contains` on the grant path, `insert`/`merge` on the
 //! report/gossip path), so these are measured raw, plus an end-to-end
-//! sequential solve as the integrated number. Before/after numbers are
-//! recorded in `BENCH_hotpath.json`.
+//! sequential solve as the integrated number, and the expander that turns
+//! each code back into a subproblem (a reused `ProblemExpander`, which
+//! replays only what differs from its last path, against a rebuild from
+//! the root per code). Before/after numbers are recorded in
+//! `BENCH_hotpath.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ftbb_bnb::BasicTreeProblem;
-use ftbb_bnb::{solve, Pool, PoolEntry, SelectRule, SolveConfig};
+use ftbb_bnb::{solve, solve_observed, BranchBound, Pool, PoolEntry, SelectRule, SolveConfig};
+use ftbb_bnb::{AnyInstance, BasicTreeProblem, Correlation, KnapsackInstance, MaxSatInstance};
+use ftbb_core::{AnyExpander, Expander};
 use ftbb_tree::{compress, random_basic_tree, Code, CodeSet, NodeId, TreeConfig};
 
 fn leaf_codes(nodes: usize, seed: u64) -> Vec<Code> {
@@ -174,6 +178,70 @@ fn bench_e2e_expansions(c: &mut Criterion) {
     group.finish();
 }
 
+/// One expansion the way an expander without a path cache does it:
+/// replay the code from the root, then bound and decompose. Returns the
+/// bounds summed, as the reused expander's loop does.
+fn rebuild_and_expand(problem: &AnyInstance, code: &Code) -> f64 {
+    let node = problem.rebuild(code).expect("own stream replays");
+    let children = match (problem.branching_var(&node), problem.decompose(&node)) {
+        (Some(_), Some((l, r))) => problem.bound(&l) + problem.bound(&r),
+        _ => 0.0,
+    };
+    black_box(problem.cost(&node) + problem.solution(&node).unwrap_or(0.0) + children);
+    problem.bound(&node)
+}
+
+fn bench_expander_stream(c: &mut Criterion) {
+    // The protocol's own code stream: depth-first local selection, as one
+    // node solving alone expands it. Knapsack n=50 and MAX-SAT 24x200 are
+    // the families of the end-to-end benchmark's knapsack and maxsat-solo
+    // workloads; each stream is capped at STREAM codes.
+    const STREAM: usize = 4_000;
+    let instances: [(&str, AnyInstance); 2] = [
+        (
+            "knapsack_50",
+            KnapsackInstance::generate(50, 10_000, Correlation::Strong, 0.5, 3).into(),
+        ),
+        (
+            "maxsat_24x200",
+            MaxSatInstance::generate(24, 200, 10_000).into(),
+        ),
+    ];
+    let mut group = c.benchmark_group("expander_stream");
+    for (name, instance) in instances {
+        let mut stream = Vec::with_capacity(STREAM);
+        let cfg = SolveConfig {
+            rule: SelectRule::DepthFirst,
+            max_expanded: Some(STREAM as u64),
+            ..Default::default()
+        };
+        solve_observed(&instance, &cfg, |code, _| stream.push(code.clone()));
+        group.throughput(Throughput::Elements(stream.len() as u64));
+        let expander = AnyExpander::new(instance);
+        group.bench_with_input(BenchmarkId::new("reused", name), &stream, |b, stream| {
+            let mut reused = expander.clone();
+            b.iter(|| {
+                let mut bound = 0.0;
+                for code in stream {
+                    bound += reused.expand(code).bound;
+                }
+                bound
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("rebuild", name), &stream, |b, stream| {
+            let problem = expander.problem();
+            b.iter(|| {
+                let mut bound = 0.0;
+                for code in stream {
+                    bound += rebuild_and_expand(problem, code);
+                }
+                bound
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_code_clone,
@@ -181,6 +249,7 @@ criterion_group!(
     bench_table_merge,
     bench_report_flush,
     bench_pool_split_off,
-    bench_e2e_expansions
+    bench_e2e_expansions,
+    bench_expander_stream
 );
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 //! Everything minimizes. Maximization problems (like knapsack) negate their
 //! objective.
 
-use ftbb_tree::{Code, Var};
+use ftbb_tree::{Code, Pair, Var};
 
 /// A problem solvable by branch and bound.
 ///
@@ -44,22 +44,30 @@ pub trait BranchBound {
         0.001
     }
 
+    /// One replay step: the child of `node` that `pair` names. This is the
+    /// single definition of "a code replays": `node` must branch on
+    /// `pair.var` (else the code belongs to another tree), and a leaf has no
+    /// children to descend into. [`rebuild`](BranchBound::rebuild) loops
+    /// over it, and so does every cache that replays only part of a code.
+    fn step(&self, node: &Self::Node, pair: Pair) -> Option<Self::Node> {
+        if self.branching_var(node)? != pair.var {
+            return None;
+        }
+        let (l, r) = self.decompose(node)?;
+        Some(if pair.bit { r } else { l })
+    }
+
     /// Rebuild a node from its tree code by replaying the decisions from
     /// the root — this is what makes codes *self-contained* (§5.3.1): "the
     /// code (along with the initial data …) is enough to initiate a problem
-    /// on any processor."
+    /// on any processor." Callers that expand many codes may keep the last
+    /// replayed path and [`step`](BranchBound::step) only past the shared
+    /// prefix; a cold cache falls back to exactly this full replay.
     ///
     /// Returns `None` if the code does not correspond to a path of this
     /// problem's tree (wrong variable or descent past a leaf).
     fn rebuild(&self, code: &Code) -> Option<Self::Node> {
-        let mut node = self.root();
-        for pair in code.pairs() {
-            if self.branching_var(&node)? != pair.var {
-                return None;
-            }
-            let (l, r) = self.decompose(&node)?;
-            node = if pair.bit { r } else { l };
-        }
-        Some(node)
+        code.pairs()
+            .try_fold(self.root(), |node, pair| self.step(&node, pair))
     }
 }

@@ -40,7 +40,9 @@ pub struct ProtocolConfig {
     /// `recovery_delay_s` pause) that must fail consecutively before the
     /// process suspects lost work and recovers by complementing. Higher
     /// values trade recovery latency for less redundant work — the paper's
-    /// §6.3.1 tuning discussion.
+    /// §6.3.1 tuning discussion. The rounds diagnose lost work once: a
+    /// process that runs out of recovered work with no news from any other
+    /// process since the recovery began recovers again at once.
     pub lb_rounds_before_recovery: u32,
     /// Recovery additionally requires this many seconds without *news*
     /// (new completion codes, or granted work). While reports carrying new

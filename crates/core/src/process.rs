@@ -54,6 +54,11 @@ pub struct BnbProcess {
     /// Consecutive fully-failed LB rounds since the last successful work.
     lb_cycles: u32,
     recovery_seq: u32,
+    /// Working on recovered subtrees with no news from any other process
+    /// since the last recovery began: lost work is still the diagnosis, so
+    /// running out of work recovers again at once instead of re-running
+    /// the load-balancing rounds that diagnosed it.
+    recovering: bool,
     /// Last local time at which this process saw evidence the computation
     /// is progressing (new completions merged, work granted, local work).
     last_news: SimTime,
@@ -123,6 +128,7 @@ impl BnbProcess {
             lb_failures: 0,
             lb_cycles: 0,
             recovery_seq: 0,
+            recovering: false,
             last_news: SimTime::ZERO,
             ewma_cost: 0.0,
             terminated: false,
@@ -581,6 +587,7 @@ impl BnbProcess {
         self.lb_failures = 0;
         if !items.is_empty() {
             self.last_news = now;
+            self.recovering = false;
         }
         for item in items {
             if self.table.contains(&item.code) {
@@ -665,6 +672,11 @@ impl BnbProcess {
             self.arm_recovery(out);
             return;
         }
+        self.recover(out);
+    }
+
+    /// Start work on one uncompleted code from the table's complement.
+    fn recover(&mut self, out: &mut Vec<Action>) {
         let hint = self.last_completed.clone();
         match pick_recovery(
             &self.table,
@@ -674,6 +686,7 @@ impl BnbProcess {
         ) {
             Some(code) => {
                 self.metrics.recoveries += 1;
+                self.recovering = true;
                 self.begin_work(code, out);
             }
             None => {
@@ -731,7 +744,11 @@ impl BnbProcess {
             self.begin_work(entry.node, out);
             return;
         }
-        self.seek_work(now, out);
+        if self.recovering {
+            self.recover(out);
+        } else {
+            self.seek_work(now, out);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -790,6 +807,7 @@ impl BnbProcess {
         self.metrics.merge_contractions += merge.contractions as u64;
         if merge.inserted > 0 {
             self.last_news = now;
+            self.recovering = false;
         }
         // Interrupt redundant work: "the lag in updating information can
         // lead to faulty presumptions on failure … fixed easily by
@@ -1290,6 +1308,90 @@ mod tests {
         let actions = p.handle(PEvent::Timer(PTimer::RecoveryFuse(1)), t0());
         let (code, _) = started(&actions).unwrap();
         assert_eq!(code, Code::from_decisions(&[(1, true)]));
+    }
+
+    /// An impatient process that knows `done` is complete and has just
+    /// started recovering: its first recovered code and that work's seq.
+    fn recovering_with(done: &[(u16, bool)]) -> (BnbProcess, Code, u64) {
+        let mut p = mk_impatient(1);
+        let actions = p.handle(PEvent::Start, t0());
+        let target = request_target(&actions).unwrap();
+        p.handle(
+            PEvent::Recv {
+                from: 0,
+                msg: Msg::WorkReport {
+                    codes: vec![Code::from_decisions(done)],
+                    incumbent: f64::INFINITY,
+                },
+            },
+            t0(),
+        );
+        deny_until_fuse(&mut p, target);
+        let actions = p.handle(PEvent::Timer(PTimer::RecoveryFuse(1)), t0());
+        let (code, seq) = started(&actions).expect("recovery starts work");
+        (p, code, seq)
+    }
+
+    #[test]
+    fn quiet_recovery_chains_without_load_balancing() {
+        // Peers are gone: once a recovered code is done and nothing was
+        // heard meanwhile, the next complement code starts at once.
+        let (mut p, first, seq) = recovering_with(&[(1, false), (2, false)]);
+        let actions = p.handle(
+            PEvent::WorkDone {
+                seq,
+                expansion: leaf_expansion(1.0, None),
+            },
+            t0(),
+        );
+        assert!(
+            request_target(&actions).is_none(),
+            "no load-balancing round"
+        );
+        let (second, seq) = started(&actions).expect("the next recovery starts");
+        assert_ne!(second, first);
+        assert_eq!(p.metrics().recoveries, 2);
+        p.handle(
+            PEvent::WorkDone {
+                seq,
+                expansion: leaf_expansion(1.0, None),
+            },
+            t0(),
+        );
+        assert!(p.is_terminated(), "the lone process finishes the tree");
+    }
+
+    #[test]
+    fn news_during_recovery_returns_to_load_balancing() {
+        let (mut p, first, seq) = recovering_with(&[(1, false), (2, false), (3, false)]);
+        // A peer reports one of the other two complement codes.
+        let others: Vec<Code> = p
+            .table()
+            .complement()
+            .into_iter()
+            .filter(|c| *c != first)
+            .collect();
+        assert_eq!(others.len(), 2);
+        p.handle(
+            PEvent::Recv {
+                from: 0,
+                msg: Msg::WorkReport {
+                    codes: vec![others[0].clone()],
+                    incumbent: f64::INFINITY,
+                },
+            },
+            t0(),
+        );
+        let actions = p.handle(
+            PEvent::WorkDone {
+                seq,
+                expansion: leaf_expansion(1.0, None),
+            },
+            t0(),
+        );
+        assert!(started(&actions).is_none());
+        assert!(request_target(&actions).is_some(), "asks a peer for work");
+        assert_eq!(p.metrics().recoveries, 1);
     }
 
     #[test]

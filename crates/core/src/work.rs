@@ -7,7 +7,8 @@
 //! complementing, which the local process has never seen.
 
 use ftbb_bnb::BranchBound;
-use ftbb_tree::{BasicTree, Code, Var};
+use ftbb_tree::{BasicTree, Code, Pair, Var};
+use std::fmt;
 use std::sync::Arc;
 
 /// Result of expanding one subproblem.
@@ -108,20 +109,92 @@ impl Expander for TreeExpander {
 /// Expands a live [`BranchBound`] problem by rebuilding node state from the
 /// code — the "real implementation" path used by the threaded runtime,
 /// exercising exactly the self-containedness the paper's encoding promises.
-#[derive(Debug, Clone)]
+///
+/// The expander remembers the path of the last code it expanded, so an
+/// expansion replays only the decisions past the longest prefix it shares
+/// with that path, and stepping into the last expansion's own children
+/// costs nothing. Under depth-first local selection that is usually one
+/// step. Codes stay self-contained: a code with nothing in common with the
+/// path (one recovered by complementing, say) replays from the root, with
+/// every [`BranchBound::step`] check `rebuild` makes. The cache holds
+/// O(depth) nodes, and each clone (one per pool worker) keeps its own.
+#[derive(Clone)]
 pub struct ProblemExpander<P: BranchBound> {
     problem: P,
+    path: Path<P::Node>,
+}
+
+/// The last expanded path: `nodes[d]` is the node reached by `pairs[..d]`
+/// (`nodes[0]` is the root), and `children` is the decomposition of the
+/// last node with its branching variable, when that node was expanded and
+/// is not a leaf.
+#[derive(Clone)]
+struct Path<N> {
+    pairs: Vec<Pair>,
+    nodes: Vec<N>,
+    children: Option<(Var, N, N)>,
+}
+
+impl<N> Path<N> {
+    /// The node `code` names, replaying only what differs from the cached
+    /// path and leaving the path at `code`; `None` if `code` does not
+    /// replay, with the path cut back to the part that did.
+    fn replay<P: BranchBound<Node = N>>(&mut self, problem: &P, code: &Code) -> Option<&N> {
+        let shared = self
+            .pairs
+            .iter()
+            .zip(code.pairs())
+            .take_while(|(a, b)| **a == *b)
+            .count();
+        if shared < self.pairs.len() {
+            self.pairs.truncate(shared);
+            self.nodes.truncate(shared + 1);
+            self.children = None;
+        }
+        for pair in code.pairs().skip(shared) {
+            let next = match self.children.take() {
+                Some((var, l, r)) if var == pair.var => {
+                    if pair.bit {
+                        r
+                    } else {
+                        l
+                    }
+                }
+                _ => problem.step(self.nodes.last().expect("root is cached"), pair)?,
+            };
+            self.pairs.push(pair);
+            self.nodes.push(next);
+        }
+        self.nodes.last()
+    }
 }
 
 impl<P: BranchBound> ProblemExpander<P> {
     /// Wrap a problem.
     pub fn new(problem: P) -> Self {
-        ProblemExpander { problem }
+        let root = problem.root();
+        ProblemExpander {
+            problem,
+            path: Path {
+                pairs: Vec::new(),
+                nodes: vec![root],
+                children: None,
+            },
+        }
     }
 
     /// The wrapped problem.
     pub fn problem(&self) -> &P {
         &self.problem
+    }
+}
+
+impl<P: BranchBound + fmt::Debug> fmt::Debug for ProblemExpander<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProblemExpander")
+            .field("problem", &self.problem)
+            .field("path_depth", &self.path.pairs.len())
+            .finish()
     }
 }
 
@@ -135,27 +208,27 @@ pub type AnyExpander = ProblemExpander<ftbb_bnb::AnyInstance>;
 
 impl<P: BranchBound> Expander for ProblemExpander<P> {
     fn expand(&mut self, code: &Code) -> Expansion {
+        let problem = &self.problem;
         let node = self
-            .problem
-            .rebuild(code)
+            .path
+            .replay(problem, code)
             .unwrap_or_else(|| panic!("code {code} does not replay in this problem"));
-        let children = match (
-            self.problem.branching_var(&node),
-            self.problem.decompose(&node),
-        ) {
-            (Some(var), Some((l, r))) => Some(ChildPair {
-                var,
-                left_bound: self.problem.bound(&l),
-                right_bound: self.problem.bound(&r),
-            }),
+        let decomposed = match (problem.branching_var(node), problem.decompose(node)) {
+            (Some(var), Some((l, r))) => Some((var, l, r)),
             _ => None,
         };
-        Expansion {
-            cost: self.problem.cost(&node),
-            bound: self.problem.bound(&node),
-            solution: self.problem.solution(&node),
-            children,
-        }
+        let expansion = Expansion {
+            cost: problem.cost(node),
+            bound: problem.bound(node),
+            solution: problem.solution(node),
+            children: decomposed.as_ref().map(|(var, l, r)| ChildPair {
+                var: *var,
+                left_bound: problem.bound(l),
+                right_bound: problem.bound(r),
+            }),
+        };
+        self.path.children = decomposed;
+        expansion
     }
 
     fn root_bound(&self) -> f64 {
@@ -252,6 +325,176 @@ mod tests {
         let k = KnapsackInstance::generate(9, 25, Correlation::Weak, 0.5, 8);
         let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default()).unwrap();
         assert_expander_agrees_with_recorder(ftbb_bnb::BasicTreeProblem::new(tree));
+    }
+
+    /// `a` and `b` are the same expansion, every f64 compared bitwise.
+    fn assert_bitwise_eq(a: &Expansion, b: &Expansion, code: &Code) {
+        let bits = |e: &Expansion| {
+            (
+                e.cost.to_bits(),
+                e.bound.to_bits(),
+                e.solution.map(f64::to_bits),
+                e.children
+                    .map(|c| (c.var, c.left_bound.to_bits(), c.right_bound.to_bits())),
+            )
+        };
+        assert_eq!(bits(a), bits(b), "expansions differ at {code}");
+    }
+
+    /// Expand `stream` with one reused expander and with a fresh one per
+    /// code: the path cache must be invisible.
+    fn assert_reuse_matches_fresh<P: BranchBound + Clone>(problem: &P, stream: &[Code]) {
+        assert!(!stream.is_empty());
+        let mut reused = ProblemExpander::new(problem.clone());
+        for code in stream {
+            let fresh = ProblemExpander::new(problem.clone()).expand(code);
+            assert_bitwise_eq(&reused.expand(code), &fresh, code);
+        }
+    }
+
+    /// The codes a sequential solve under `rule` expands, in order.
+    /// `DepthFirst` is the protocol's local selection rule.
+    fn solve_stream<P: BranchBound>(problem: &P, rule: ftbb_bnb::SelectRule) -> Vec<Code> {
+        let mut stream = Vec::new();
+        let config = ftbb_bnb::SolveConfig {
+            rule,
+            ..Default::default()
+        };
+        ftbb_bnb::solve_observed(problem, &config, |code, _| stream.push(code.clone()));
+        stream
+    }
+
+    /// A random walk over `problem`'s whole tree that jumps to the root,
+    /// to ancestors, to siblings, to anywhere, and down into codes that
+    /// extend the current one.
+    fn shuffled_stream<P: BranchBound>(problem: &P, seed: u64, len: usize) -> Vec<Code> {
+        use rand::{Rng, SeedableRng};
+        let tree = ftbb_bnb::record_basic_tree(problem, ftbb_bnb::RecordLimits::default())
+            .expect("recordable instance");
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut at = tree.root();
+        let mut stream = Vec::with_capacity(len);
+        while stream.len() < len {
+            at = match rng.gen_range(0..6u32) {
+                0 => tree.root(),
+                1 => {
+                    let up = rng.gen_range(1..=tree.depth_of(at).max(1));
+                    (0..up).fold(at, |id, _| tree.node(id).parent.map_or(id, |(p, _)| p))
+                }
+                2 => match tree.node(at).parent {
+                    Some((p, bit)) => {
+                        let (l, r) = tree.node(p).children.expect("a parent branches");
+                        if bit {
+                            l
+                        } else {
+                            r
+                        }
+                    }
+                    None => at,
+                },
+                3 => rng.gen_range(0..tree.len() as u32),
+                _ => {
+                    let down = rng.gen_range(1..=3);
+                    (0..down).fold(at, |id, _| match tree.node(id).children {
+                        Some((l, r)) => {
+                            if rng.gen_bool(0.5) {
+                                r
+                            } else {
+                                l
+                            }
+                        }
+                        None => id,
+                    })
+                }
+            };
+            stream.push(tree.code_of(at));
+        }
+        stream
+    }
+
+    /// Every stream shape over one problem.
+    fn assert_cache_is_invisible<P: BranchBound + Clone>(problem: P) {
+        use ftbb_bnb::SelectRule;
+        assert_reuse_matches_fresh(&problem, &solve_stream(&problem, SelectRule::DepthFirst));
+        assert_reuse_matches_fresh(&problem, &solve_stream(&problem, SelectRule::BestFirst));
+        assert_reuse_matches_fresh(&problem, &shuffled_stream(&problem, 7, 600));
+    }
+
+    #[test]
+    fn reused_expander_matches_fresh_knapsack() {
+        assert_cache_is_invisible(KnapsackInstance::generate(
+            14,
+            60,
+            Correlation::Strong,
+            0.5,
+            4,
+        ));
+    }
+
+    #[test]
+    fn reused_expander_matches_fresh_maxsat() {
+        assert_cache_is_invisible(ftbb_bnb::MaxSatInstance::generate(10, 36, 5));
+    }
+
+    #[test]
+    fn reused_expander_matches_fresh_recorded_tree() {
+        let k = KnapsackInstance::generate(9, 25, Correlation::Weak, 0.5, 8);
+        let tree = ftbb_bnb::record_basic_tree(&k, ftbb_bnb::RecordLimits::default()).unwrap();
+        assert_cache_is_invisible(ftbb_bnb::BasicTreeProblem::new(tree));
+    }
+
+    /// An expander warmed by a depth-first stream and left on the deepest
+    /// code that branches, with that code's children.
+    fn warm_knapsack() -> (ProblemExpander<KnapsackInstance>, ChildPair) {
+        let k = KnapsackInstance::generate(12, 40, Correlation::Uncorrelated, 0.5, 3);
+        let stream = solve_stream(&k, ftbb_bnb::SelectRule::DepthFirst);
+        let mut e = ProblemExpander::new(k);
+        let mut deepest: Option<(usize, Code)> = None;
+        for code in &stream {
+            if e.expand(code).children.is_some()
+                && deepest.as_ref().is_none_or(|(d, _)| code.depth() > *d)
+            {
+                deepest = Some((code.depth(), code.clone()));
+            }
+        }
+        let (_, code) = deepest.expect("the stream branches");
+        let children = e.expand(&code).children.expect("branches");
+        (e, children)
+    }
+
+    #[test]
+    #[should_panic(expected = "does not replay")]
+    fn foreign_variable_panics_after_the_path_is_warm() {
+        // Diverge at the root on the cached children's variable: once the
+        // path is cut back, those children must not be reused.
+        let (mut e, cached) = warm_knapsack();
+        assert_ne!(
+            Some(cached.var),
+            e.problem().branching_var(&e.problem().root())
+        );
+        e.expand(&Code::root().child(cached.var, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not replay")]
+    fn foreign_child_of_the_cached_node_panics() {
+        // The step into the last expansion's children must still check
+        // the variable: extend the cached path with a wrong one.
+        let (mut e, _) = warm_knapsack();
+        let root = e.expand(&Code::root());
+        let wrong = root.children.expect("root branches").var + 1;
+        e.expand(&Code::root().child(wrong, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not replay")]
+    fn descent_past_a_cached_leaf_panics() {
+        let (mut e, _) = warm_knapsack();
+        let leaf = solve_stream(e.problem(), ftbb_bnb::SelectRule::DepthFirst)
+            .into_iter()
+            .find(|c| e.expand(c).children.is_none())
+            .expect("the stream reaches a leaf");
+        e.expand(&leaf.child(0, false));
     }
 
     #[test]

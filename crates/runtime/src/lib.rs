@@ -15,7 +15,12 @@
 //!
 //! * time is `Instant`-based instead of virtual;
 //! * expansions run the actual [`ftbb_bnb::BranchBound`] computation by
-//!   rebuilding node state from self-contained codes;
+//!   rebuilding node state from self-contained codes. Each expander
+//!   ([`ftbb_core::ProblemExpander`]) caches the path of its last code and
+//!   replays only the decisions a new code does not share with it; a code
+//!   that shares nothing replays from the root, so codes stay
+//!   self-contained. Every pool worker's expander clone caches its own
+//!   path;
 //! * crashes are injected by tripping a [`CrashSwitch`]: the thread stops
 //!   silently, and peers see only silence — the Crash failure model;
 //! * messages travel through the [`Transport`] (sends to dead nodes are

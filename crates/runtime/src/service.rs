@@ -1188,14 +1188,15 @@ mod tests {
 
     #[test]
     fn killing_a_node_mid_run_loses_neither_job() {
-        // Larger jobs than the no-crash test, so the pool is still
-        // solving when the crash lands.
+        // Jobs sized so the pool is still solving when the crash lands:
+        // each takes 10x the crash delay or more on one node of a release
+        // build (92,748 and 3,758 expansions there).
         let jobs: Vec<(JobId, ftbb_bnb::AnyInstance)> = vec![
             (
                 JobId(11),
-                KnapsackInstance::generate(20, 80, Correlation::Strong, 0.5, 5).into(),
+                KnapsackInstance::generate(36, 120, Correlation::Strong, 0.5, 3).into(),
             ),
-            (JobId(22), MaxSatInstance::generate(16, 60, 2).into()),
+            (JobId(22), MaxSatInstance::generate(24, 100, 2).into()),
         ];
         let outcomes = run_pool(3, &jobs, &[(1, Duration::from_millis(3))]);
         assert!(outcomes[1].is_none(), "crashed nodes report nothing");

@@ -111,7 +111,8 @@ fn report(label: &str, mean: Option<Duration>, throughput: Option<Throughput>) {
                 line.push_str(&format!(" ({:.1} MiB/s)", per_sec(n) / (1024.0 * 1024.0)));
             }
             Throughput::Elements(n) => {
-                line.push_str(&format!(" ({:.0} elem/s)", per_sec(n)));
+                let ns_per = mean.as_secs_f64() * 1e9 / n.max(1) as f64;
+                line.push_str(&format!(" ({:.0} elem/s, {ns_per:.1} ns/elem)", per_sec(n)));
             }
         }
     }

@@ -69,7 +69,9 @@ use crate::codec::{
     JoinFrame, RejoinFrame, RejoinSummary, WireFrame,
 };
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{
+    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
+};
 use ftbb_bnb::AnyInstance;
 use ftbb_core::{JobId, Msg, TransportCounters};
 use ftbb_gossip::MembershipMsg;
@@ -84,6 +86,14 @@ use std::time::{Duration, Instant};
 /// Soft bound on frames queued toward one peer; beyond it sends are
 /// dropped as `Full` (backpressure against a stalled or dead peer).
 const PEER_QUEUE_CAP: usize = 4096;
+
+/// Most decoded envelopes the inbox holds. When the event pump falls
+/// behind (descheduled on a loaded host), the reader threads block here
+/// instead of decoding further, so the backlog waits in the kernel's
+/// socket buffers rather than in this process's heap. Without the cap
+/// the peak inbox, and with it the node's peak resident memory, grows
+/// with the peers' message rate, which grows with their expansion rate.
+const INBOX_CAP: usize = 64;
 
 /// How long a writer waits for a connection attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
@@ -459,7 +469,7 @@ impl TcpMesh {
         let local_addr = listener.local_addr()?;
         let counters = Arc::new(TransportCounters::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (inbox_tx, inbox_rx) = unbounded();
+        let (inbox_tx, inbox_rx) = bounded(INBOX_CAP);
         let (announce_tx, announce_rx) = unbounded();
         let (rejoin_tx, rejoin_rx) = unbounded();
         let (join_tx, join_rx) = unbounded();
@@ -718,12 +728,16 @@ impl Transport for TcpMesh {
         let registry = &self.registry;
         if to == registry.me {
             // Self-sends short-circuit the network, like the in-process
-            // mesh delivering to the sender's own inbox.
+            // mesh delivering to the sender's own inbox. They come from
+            // the pump, which is the inbox's only reader, so they must
+            // not block: a full inbox drops them like a lost datagram.
             let wire = msg.wire_size();
-            if self.inbox_tx.try_send(Envelope { job, from, msg }).is_ok() {
-                registry.counters.record_send(wire, wire);
-            } else {
-                registry.counters.record_dropped_disconnected();
+            match self.inbox_tx.try_send(Envelope { job, from, msg }) {
+                Ok(()) => registry.counters.record_send(wire, wire),
+                Err(TrySendError::Full(_)) => registry.counters.record_dropped_full(),
+                Err(TrySendError::Disconnected(_)) => {
+                    registry.counters.record_dropped_disconnected()
+                }
             }
             return;
         }
@@ -917,7 +931,9 @@ fn spawn_reader(
                                     registry.counters.record_dropped_stale();
                                     continue;
                                 }
-                                if sinks.inbox.try_send(env).is_err() {
+                                // Blocks while the inbox is full: TCP flow
+                                // control then holds the backlog.
+                                if sinks.inbox.send(env).is_err() {
                                     return; // local node gone
                                 }
                             }
@@ -1511,6 +1527,58 @@ mod tests {
         let env = recv_msg(&rx, Duration::from_secs(1)).expect("self-send arrives");
         assert_eq!(env.from, 4);
         assert_eq!(mesh.stats().sent, 1);
+    }
+
+    #[test]
+    fn a_full_inbox_holds_frames_back_without_losing_any() {
+        // The receiver reads nothing until ten inboxes' worth of frames
+        // are sent: the reader parks on the full inbox, the backlog waits
+        // in the socket, and every frame still arrives, in order. A
+        // self-send must not block the pump, so once the inbox is at its
+        // cap one is dropped as `Full`.
+        let addr_a = free_addr();
+        let addr_b = free_addr();
+        let (mesh_a, _rx_a) = TcpMesh::bind(0, addr_a, &[(1, addr_b)]).unwrap();
+        let (mesh_b, rx_b) = TcpMesh::bind(1, addr_b, &[(0, addr_a)]).unwrap();
+        let total = 10 * INBOX_CAP;
+        for i in 0..total {
+            mesh_a.send(
+                JobId::DEFAULT,
+                0,
+                1,
+                Msg::WorkDeny {
+                    incumbent: i as f64,
+                },
+            );
+        }
+        assert!(mesh_a.drain(Duration::from_secs(5)), "the writer flushed");
+        // Probe with self-sends until one is refused; the probes that
+        // got in before the inbox filled are skipped below.
+        let probe = Msg::WorkRequest { incumbent: 0.0 };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while mesh_b.stats().dropped_full == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the inbox never stopped at its cap"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+            mesh_b.send(JobId::DEFAULT, 1, 1, probe.clone());
+        }
+        let mut next = 0;
+        while next < total {
+            let env = recv_msg(&rx_b, Duration::from_secs(5)).expect("no frame is lost");
+            if env.msg == probe {
+                continue;
+            }
+            assert_eq!(
+                env.msg,
+                Msg::WorkDeny {
+                    incumbent: next as f64
+                }
+            );
+            next += 1;
+        }
+        assert_eq!(mesh_a.stats().dropped(), 0);
     }
 
     #[test]

@@ -45,12 +45,30 @@ fn base_spec(problem: ProblemSpec, nodes: u32, seed: u64) -> ClusterSpec {
     }
 }
 
-/// A problem big enough that a debug-build cluster runs for a while
-/// (~1 s single-node), so kills at tens of milliseconds land
-/// mid-computation.
+/// A problem big enough that kills at tens to hundreds of milliseconds
+/// land mid-computation in both build profiles: 155,972 expansions,
+/// about 0.35 s single-node in a release build (2.3 s in a debug build),
+/// and about 0.8 s (4.3 s) on a five-node loopback cluster on a 2-vCPU
+/// host.
 fn heavy_problem() -> ProblemSpec {
     ProblemSpec::Knapsack(KnapsackSpec {
-        n: 36,
+        n: 40,
+        range: 150,
+        correlation: Correlation::Strong,
+        frac: 0.5,
+        seed: 4,
+    })
+}
+
+/// The restart regression's instance. Its restarted node rejoins about
+/// 2.1 s into the run, so the survivors must stay busy past that in
+/// either build profile, without a debug build running for a minute: a
+/// debug build solves 300,517 expansions and a release build 1,398,952.
+/// The whole test then takes about 9 s in either profile on a 2-vCPU
+/// host.
+fn restart_problem() -> ProblemSpec {
+    ProblemSpec::Knapsack(KnapsackSpec {
+        n: if cfg!(debug_assertions) { 42 } else { 44 },
         range: 120,
         correlation: Correlation::Strong,
         frac: 0.5,
@@ -622,21 +640,16 @@ fn service_pool_finishes_three_staggered_jobs_through_a_kill_and_restart() {
     let tree_path = tmp.join("workload.ftbb");
     ftbb_tree::io::write_tree_file(&tree, &tree_path).unwrap();
 
-    // Jobs 1 and 2 are heavy enough (~1 s single-node in a debug build)
-    // that the kill at 400 ms lands while they are genuinely in flight.
+    // Job 2 is heavy enough (`heavy_problem`: 0.35 s single-node in a
+    // release build, 2.3 s in a debug build) that the kill at 400 ms
+    // lands while it is genuinely in flight.
     let problems = [
         ProblemSpec::MaxSat(MaxSatSpec {
             vars: 26,
             clauses: 110,
             seed: 13,
         }),
-        ProblemSpec::Knapsack(KnapsackSpec {
-            n: 36,
-            range: 120,
-            correlation: Correlation::Strong,
-            frac: 0.5,
-            seed: 3,
-        }),
+        heavy_problem(),
         ProblemSpec::tree_file(&tree_path),
     ];
     let references: Vec<Option<f64>> = problems.iter().map(reference_best).collect();
@@ -778,8 +791,8 @@ fn hundred_process_gossip_cluster_caps_books_and_reaches_the_optimum() {
     // A mid-weight instance (~27k sequential expansions): big enough
     // that both SIGKILLs land mid-run even with a 100-process startup
     // ramp, small enough that one core pushes 100 debug processes
-    // through it well inside the deadline (`heavy_problem` is ~3.4x
-    // larger and ran past 240 s at this scale).
+    // through it well inside the deadline (a 92,748-expansion instance
+    // ran past 240 s at this scale).
     let problem = ProblemSpec::Knapsack(KnapsackSpec {
         n: 34,
         range: 120,
@@ -889,15 +902,20 @@ fn hundred_process_gossip_cluster_caps_books_and_reaches_the_optimum() {
 ///
 /// Five nodes with periodic checkpoints; nodes 1 and 3 are SIGKILLed
 /// mid-run; node 1 is then restarted from its checkpoint (`--resume`) at
-/// its original address. The restarted process must come back as
-/// incarnation 1, rejoin the live cluster through the rejoin handshake,
-/// contribute expansions under its new incarnation, and the cluster must
-/// still match the sequential optimum. Traffic addressed to node 1's
-/// previous life (peers keep sending while the rebound listener settles)
-/// must be counted and dropped as stale, never delivered.
+/// its original address while node 3 stays dead. The restarted node's
+/// readiness barrier therefore spends its whole 1.5 s budget on the dead
+/// peer before it rejoins, about 2.1 s into the run with the launcher's
+/// 300 ms settle window, so the instance ([`restart_problem`]) is sized
+/// to keep the survivors busy well past that. The restarted process must
+/// come back as incarnation 1, rejoin the live cluster through the
+/// rejoin handshake, contribute expansions under its new incarnation,
+/// and the cluster must still match the sequential optimum. Traffic
+/// addressed to node 1's previous life (peers keep sending while the
+/// rebound listener settles) must be counted and dropped as stale, never
+/// delivered.
 #[test]
 fn killed_node_restarts_from_checkpoint_and_rejoins() {
-    let problem = heavy_problem();
+    let problem = restart_problem();
     let reference = reference_best(&problem);
     assert!(reference.is_some(), "instance must be feasible");
 
