@@ -103,7 +103,9 @@ pub struct Checkpoint {
     pub table: Vec<Code>,
     /// Local pool entries `(code, bound)`.
     pub pool: Vec<(Code, f64)>,
-    /// Fresh (unreported) completions.
+    /// Fresh (unreported) completions, as contracted codes. Older
+    /// snapshots hold the raw completion list; restore accepts either,
+    /// since both contract to the same set.
     pub fresh: Vec<Code>,
     /// Best-known solution.
     pub incumbent: f64,
@@ -337,7 +339,7 @@ impl BnbProcess {
         }
         let mut table = CodeSet::new();
         table.merge(chk.table.iter());
-        p.restore_state(table, &chk.pool, chk.fresh.clone(), chk.incumbent);
+        p.restore_state(table, &chk.pool, &chk.fresh, chk.incumbent);
         p
     }
 }
@@ -520,6 +522,46 @@ mod tests {
                 .any(|a| matches!(a, crate::Action::StartWork { .. })),
             "restored process with pool must resume working"
         );
+    }
+
+    #[test]
+    fn older_raw_fresh_list_restores_and_flushes_compressed() {
+        // Older snapshots stored the raw completion list; these three
+        // codes contract to their common ancestor (x1 = 0).
+        let c = |d: &[(u16, bool)]| Code::from_decisions(d);
+        let raw = vec![
+            c(&[(1, false), (2, false)]),
+            c(&[(1, false), (2, true), (3, false)]),
+            c(&[(1, false), (2, true), (3, true)]),
+        ];
+        let compressed = ftbb_tree::compress(&raw);
+        assert_eq!(compressed, vec![c(&[(1, false)])]);
+        let mut chk = worked_process().checkpoint();
+        chk.fresh = raw.clone();
+        let chk = Checkpoint::decode(&chk.encode()).unwrap();
+        let mut p = BnbProcess::restore(&chk, ProtocolConfig::default(), 9);
+        // A new snapshot stores the contracted set, and storage counts
+        // the set's wire size.
+        assert_eq!(p.checkpoint().fresh, compressed);
+        let pool_aux: usize = chk.pool.iter().map(|(code, _)| code.wire_size() + 8).sum();
+        let fresh = CodeSet::from(raw.clone());
+        assert_eq!(p.storage_snapshot().1, pool_aux + fresh.wire_size());
+        let actions = p.handle(PEvent::Timer(PTimer::ReportFlush), SimTime::ZERO);
+        let reports: Vec<&Vec<Code>> = actions
+            .iter()
+            .filter_map(|a| match a {
+                crate::Action::Send {
+                    msg: crate::Msg::WorkReport { codes, .. },
+                    ..
+                } => Some(codes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reports.len(), 2, "fan-out 2");
+        assert!(reports.iter().all(|codes| **codes == compressed));
+        assert_eq!(p.metrics().report_codes_sent, 1);
+        assert_eq!(p.metrics().report_codes_saved, 2);
+        assert!(p.checkpoint().fresh.is_empty(), "the flush drained the set");
     }
 
     #[test]

@@ -14,14 +14,21 @@ use serde::{Deserialize, Serialize};
 /// All tunables of one protocol process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolConfig {
-    /// `c`: flush the local completion list as a work report once it holds
-    /// this many codes (§5.3.2).
+    /// `c`: flush the fresh completions as a work report once this many
+    /// codes have completed locally since the last flush (§5.3.2). The
+    /// count is of raw completions, so a report is the same for a given
+    /// `c` whether or not its codes contracted on the way. This is the
+    /// paper's and the DES's knob; the real-time profile
+    /// (`ftbb_runtime::ClusterConfig::new`) sets it to `usize::MAX`,
+    /// which turns the count trigger off and paces reports by
+    /// `report_interval_s` and starvation alone.
     pub report_batch: usize,
     /// `m`: how many randomly chosen members receive each work report.
     pub report_fanout: usize,
-    /// Flush a non-empty completion list after this many seconds even if it
-    /// has fewer than `c` codes ("or the list has not been updated for a
-    /// long time").
+    /// Flush pending fresh completions every this many seconds, even short
+    /// of `c` ("or the list has not been updated for a long time"). With
+    /// the count trigger off, as in the real-time profile, this and
+    /// starvation are what send reports.
     pub report_interval_s: f64,
     /// Interval between full-table gossips to one random member
     /// ("occasionally, … a member sends its table of completed problems to

@@ -1,18 +1,19 @@
 //! The protocol process: the paper's §5 algorithm as a pure state machine.
 //!
 //! One [`BnbProcess`] per participating machine. It owns a local pool of
-//! subproblems, a contracted table of known completions, a list of fresh
-//! local completions, and the best-known solution. Events arrive from the
-//! harness; actions go back to it. The process never touches clocks,
-//! networks, or the expander directly, so the identical code runs under the
-//! discrete-event simulator (`ftbb-sim`) and the threaded runtime
-//! (`ftbb-runtime`).
+//! subproblems, a contracted table of known completions, a contracted set
+//! of fresh (unreported) local completions, and the best-known solution.
+//! Events arrive from the harness; actions go back to it. The process
+//! never touches clocks, networks, or the expander directly, so the
+//! identical code runs under the discrete-event simulator (`ftbb-sim`)
+//! and the threaded runtime (`ftbb-runtime`).
 //!
 //! Protocol summary (paper §5):
 //! * on-demand load balancing: starving processes ask random members; a
 //!   donor splits its pool;
-//! * completed codes accumulate in a list, flushed (compressed) as a work
-//!   report to `m` random members after `c` codes or a timeout;
+//! * completed codes accumulate in a contracted set, flushed as a work
+//!   report (its minimal codes: the list compressed) to `m` random
+//!   members after `c` raw completions or a timeout;
 //! * received reports merge into the table with contraction;
 //! * when load balancing fails repeatedly, the process *complements* its
 //!   table and re-solves a missing subproblem (failure recovery, §5.3.2);
@@ -46,7 +47,14 @@ pub struct BnbProcess {
     current: Option<Code>,
     work_seq: u64,
     table: CodeSet,
-    fresh: Vec<Code>,
+    /// Completions not yet reported, kept contracted as they arrive, so
+    /// its size tracks the search frontier rather than the completion
+    /// rate. A flush ships its minimal codes: exactly the compression of
+    /// the raw completions since the previous flush.
+    fresh: CodeSet,
+    /// Raw completions since the previous flush: the `c` trigger counts
+    /// these, and `report_codes_saved` is measured against them.
+    fresh_raw: usize,
     incumbent: Incumbent,
     lb_seq: u32,
     lb_awaiting: Option<(u32, u32)>,
@@ -87,8 +95,6 @@ pub struct BnbProcess {
     /// Reusable buffer for entries lazily pruned at pop (always drained
     /// back to empty before it is returned here).
     pruned_scratch: Vec<PoolEntry<Code>>,
-    /// Reusable compression table for report flushes.
-    compress_scratch: CodeSet,
     /// Reusable code buffer for report/gossip payload production.
     codes_scratch: Vec<Code>,
 }
@@ -121,7 +127,8 @@ impl BnbProcess {
             current: None,
             work_seq: 0,
             table: CodeSet::new(),
-            fresh: Vec::new(),
+            fresh: CodeSet::new(),
+            fresh_raw: 0,
             incumbent: f64::INFINITY,
             lb_seq: 0,
             lb_awaiting: None,
@@ -143,7 +150,6 @@ impl BnbProcess {
             last_announced: f64::INFINITY,
             bound_flush_armed: false,
             pruned_scratch: Vec::new(),
-            compress_scratch: CodeSet::new(),
             codes_scratch: Vec::new(),
         }
     }
@@ -243,15 +249,14 @@ impl BnbProcess {
     }
 
     /// Approximate resident bytes of protocol state (the paper's storage
-    /// metric): completion table + pool codes + fresh list.
+    /// metric): completion table + pool codes + fresh set.
     pub fn storage_bytes(&self) -> usize {
         let pool_bytes = self.pool.len() * 24; // code pointer + bound + depth
-        let fresh_bytes: usize = self.fresh.iter().map(|c| c.wire_size()).sum();
-        self.table.memory_bytes() + pool_bytes + fresh_bytes
+        self.table.memory_bytes() + pool_bytes + self.fresh.wire_size()
     }
 
     /// Information-content storage snapshot: the table's minimal codes plus
-    /// the wire bytes of pool and fresh-list codes. Used for the paper's
+    /// the wire bytes of pool codes and the fresh set. Used for the paper's
     /// Table 1 storage columns, where "redundant" counts information stored
     /// at more than one site.
     pub fn storage_snapshot(&self) -> (Vec<Code>, usize) {
@@ -261,7 +266,7 @@ impl BnbProcess {
             .iter()
             .map(|e| e.node.wire_size() + 8)
             .sum::<usize>()
-            + self.fresh.iter().map(|c| c.wire_size()).sum::<usize>();
+            + self.fresh.wire_size();
         (codes, aux)
     }
 
@@ -410,9 +415,7 @@ impl BnbProcess {
     fn on_timer(&mut self, timer: PTimer, now: SimTime, out: &mut Vec<Action>) {
         match timer {
             PTimer::ReportFlush => {
-                if !self.fresh.is_empty() {
-                    self.flush_reports(now, out);
-                }
+                self.flush_reports(now, out);
                 out.push(Action::SetTimer {
                     delay_s: self.report_interval(),
                     timer: PTimer::ReportFlush,
@@ -762,26 +765,22 @@ impl BnbProcess {
         let merge = self.table.insert(&code);
         self.metrics.merge_codes_processed += merge.processed() as u64;
         self.metrics.merge_contractions += merge.contractions as u64;
-        self.fresh.push(code.clone());
+        self.fresh.insert(&code);
+        self.fresh_raw += 1;
         self.last_completed = Some(code);
-        if self.fresh.len() >= self.cfg.report_batch {
+        if self.fresh_raw >= self.cfg.report_batch {
             self.flush_reports(now, out);
         }
         self.check_termination(out);
     }
 
     fn flush_reports(&mut self, now: SimTime, out: &mut Vec<Action>) {
-        if self.fresh.is_empty() {
+        if self.fresh_raw == 0 {
             return;
         }
-        let raw = self.fresh.len();
-        // Compress into reusable scratch: the per-flush table and code
-        // buffer keep their capacity across flushes.
-        ftbb_tree::compress_into(
-            &self.fresh,
-            &mut self.compress_scratch,
-            &mut self.codes_scratch,
-        );
+        let raw = std::mem::take(&mut self.fresh_raw);
+        // The set and the code buffer keep their capacity across flushes.
+        self.fresh.minimal_codes_into(&mut self.codes_scratch);
         self.fresh.clear();
         let sent = self.codes_scratch.len();
         self.metrics.report_codes_sent += sent as u64;
@@ -969,21 +968,25 @@ impl BnbProcess {
         out
     }
 
-    /// Snapshot the fresh (unreported) completions.
+    /// Snapshot the fresh (unreported) completions, contracted.
     pub(crate) fn fresh_snapshot(&self) -> Vec<Code> {
-        self.fresh.clone()
+        self.fresh.minimal_codes()
     }
 
-    /// Overwrite durable state from a checkpoint (used by restore).
+    /// Overwrite durable state from a checkpoint (used by restore). The
+    /// fresh codes may be raw (as older checkpoints stored them) or
+    /// contracted; either way the next flush ships their compressed form.
     pub(crate) fn restore_state(
         &mut self,
         table: CodeSet,
         pool: &[(Code, f64)],
-        fresh: Vec<Code>,
+        fresh: &[Code],
         incumbent: Incumbent,
     ) {
         self.table = table;
-        self.fresh = fresh;
+        self.fresh.clear();
+        self.fresh.merge(fresh);
+        self.fresh_raw = fresh.len();
         self.incumbent = incumbent;
         for (code, bound) in pool {
             let depth = code.depth() as u32;
@@ -2100,5 +2103,146 @@ mod tests {
             } if incumbent.to_bits() == 5.0f64.to_bits()
         )));
         assert_eq!(p.metrics().bound_piggybacks_suppressed, 0);
+    }
+
+    /// Completion streams over one random tree below `(x1 = 0)`, so the
+    /// root never completes and no termination report interleaves: the
+    /// leaves in depth-first order, the leaves in best-first order, and a
+    /// seeded random stream (leaves shuffled, plus inner codes and
+    /// repeats).
+    fn completion_streams(seed: u64) -> [Vec<Code>; 3] {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut depth_first = Vec::new();
+        let mut inner = Vec::new();
+        // (code, bound); children's bounds never beat their parent's.
+        let mut stack = vec![(Code::root().child(1, false), 0.0f64)];
+        let mut bounds = Vec::new();
+        while let Some((code, bound)) = stack.pop() {
+            let depth = code.depth();
+            if depth >= 14 || rng.gen_bool(0.15 + depth as f64 / 20.0) {
+                depth_first.push(code.clone());
+                bounds.push((bound, code));
+                continue;
+            }
+            inner.push(code.clone());
+            let var = depth as u16 + 1;
+            for bit in [false, true] {
+                stack.push((code.child(var, bit), bound + rng.gen_range(0.0..1.0)));
+            }
+        }
+        bounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let best_first: Vec<Code> = bounds.into_iter().map(|(_, c)| c).collect();
+        let mut random = depth_first.clone();
+        random.extend(inner.iter().filter(|_| rng.gen_bool(0.1)).cloned());
+        let repeats: Vec<Code> = random
+            .iter()
+            .filter(|_| rng.gen_bool(0.1))
+            .cloned()
+            .collect();
+        random.extend(repeats);
+        random.shuffle(&mut rng);
+        [depth_first, best_first, random]
+    }
+
+    /// The codes of the one flush in `actions` (every recipient gets the
+    /// same report), or `None` if nothing was flushed.
+    fn flushed(actions: &[Action]) -> Option<Vec<Code>> {
+        let reports: Vec<&Vec<Code>> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    msg: Msg::WorkReport { codes, .. },
+                    ..
+                } => Some(codes),
+                _ => None,
+            })
+            .collect();
+        let first = reports.first()?;
+        assert!(reports.iter().all(|r| r == first), "one flush, one report");
+        Some((*first).clone())
+    }
+
+    #[test]
+    fn reports_equal_the_compressed_raw_completions_for_any_batch() {
+        for seed in [1, 2, 3] {
+            for (kind, stream) in completion_streams(seed).iter().enumerate() {
+                for batch in [1, 2, 3, 8, 64, usize::MAX] {
+                    let mut c = cfg();
+                    c.report_batch = batch;
+                    let mut p = BnbProcess::new(0, vec![0, 1, 2], c, 0.0, false, seed);
+                    // The raw completions since the last flush; codes the
+                    // table already covers do not count.
+                    let mut raw: Vec<Code> = Vec::new();
+                    let (mut flushes, mut sent, mut saved) = (0u64, 0u64, 0u64);
+                    let mut check = |actions: &[Action], raw: &mut Vec<Code>| {
+                        let Some(codes) = flushed(actions) else {
+                            return false;
+                        };
+                        let want = ftbb_tree::compress(raw);
+                        assert_eq!(codes, want, "stream {kind}, c = {batch}");
+                        flushes += 1;
+                        sent += want.len() as u64;
+                        saved += (raw.len() - want.len()) as u64;
+                        raw.clear();
+                        true
+                    };
+                    for (i, code) in stream.iter().enumerate() {
+                        let counted = !p.table.contains(code);
+                        if counted {
+                            raw.push(code.clone());
+                        }
+                        let due = raw.len() >= batch;
+                        let mut out = Vec::new();
+                        p.complete(code.clone(), t0(), &mut out);
+                        assert_eq!(check(&out, &mut raw), due, "stream {kind}, c = {batch}");
+                        if i % 37 == 36 {
+                            let out = p.handle(PEvent::Timer(PTimer::ReportFlush), t0());
+                            check(&out, &mut raw);
+                            assert!(raw.is_empty(), "the timer flushes whatever is fresh");
+                        }
+                    }
+                    let out = p.handle(PEvent::Timer(PTimer::ReportFlush), t0());
+                    check(&out, &mut raw);
+                    assert!(raw.is_empty());
+                    assert!(!p.is_terminated());
+                    let m = p.metrics();
+                    assert_eq!(m.reports_sent, flushes * 2, "fan-out 2 to 2 peers");
+                    assert_eq!(m.report_codes_sent, sent, "stream {kind}, c = {batch}");
+                    assert_eq!(m.report_codes_saved, saved, "stream {kind}, c = {batch}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unflushed_fresh_set_stays_within_the_tree_depth() {
+        // A whole depth-first solve with no flush at all (no count
+        // trigger, the timer never fires, the one peer never answers):
+        // the fresh set holds every local completion, yet it contracts to
+        // at most one code per level of the current path.
+        use crate::work::{Expander, ProblemExpander};
+        use ftbb_bnb::{Correlation, KnapsackInstance};
+        let k = KnapsackInstance::generate(32, 120, Correlation::Strong, 0.5, 3);
+        let depth = k.len();
+        let mut e = ProblemExpander::new(k);
+        let mut c = cfg();
+        c.report_batch = usize::MAX;
+        let mut p = BnbProcess::new(0, vec![0, 1], c, e.root_bound(), true, 1);
+        let mut work = started(&p.handle(PEvent::Start, t0()));
+        let mut expansions = 0;
+        while let Some((code, seq)) = work {
+            let expansion = e.expand(&code);
+            let actions = p.handle(PEvent::WorkDone { seq, expansion }, t0());
+            expansions += 1;
+            let fresh = p.fresh.minimal_codes().len();
+            assert!(fresh <= depth, "{fresh} fresh codes at tree depth {depth}");
+            assert!(p.fresh.node_count() <= 2 * depth + 1);
+            work = started(&actions);
+        }
+        assert!(expansions > 1_000, "{expansions} expansions");
+        assert!(p.is_terminated());
+        // The only report is the termination report of the root code.
+        assert_eq!(p.metrics().reports_sent, 0);
     }
 }

@@ -24,9 +24,19 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Sensible defaults for in-process runs: millisecond-scale timers.
+    ///
+    /// This is the real-time profile (`ftbb-noded` uses it too), and it
+    /// paces work reports by time alone: a node flushes its fresh
+    /// completions every `report_interval_s` (10 ms) and whenever it
+    /// starves, never on a count. At about a microsecond per expansion the
+    /// paper's `c = 8` would send a report frame every few microseconds,
+    /// each costing more CPU than the expansions it reports. The fresh set
+    /// is contracted, so between flushes it stays the size of the search
+    /// frontier however many codes complete. `c` (`report_batch`) stays
+    /// the knob of [`ProtocolConfig::default`] and the DES scenarios.
     pub fn new(nodes: u32) -> Self {
         let protocol = ProtocolConfig {
-            report_batch: 8,
+            report_batch: usize::MAX,
             report_interval_s: 0.01,
             table_gossip_interval_s: 0.05,
             lb_timeout_s: 0.01,
@@ -161,6 +171,7 @@ where
 mod tests {
     use super::*;
     use ftbb_bnb::{solve, Correlation, KnapsackInstance, SolveConfig};
+    use ftbb_core::ProcMetrics;
 
     fn knapsack(seed: u64) -> KnapsackInstance {
         KnapsackInstance::generate(16, 60, Correlation::Uncorrelated, 0.5, seed)
@@ -204,6 +215,44 @@ mod tests {
             assert!(outcome.all_terminated, "{} did not terminate", any.kind());
             assert_eq!(outcome.best, reference.best, "{}", any.kind());
         }
+    }
+
+    #[test]
+    fn real_time_profile_paces_reports_by_interval() {
+        // Under the paper's `c = 8` a node sends one report per eight
+        // completions, about 0.125 per expansion here; paced by the 10 ms
+        // interval and starvation, reports stay a small fraction of that.
+        let k = KnapsackInstance::generate(36, 120, Correlation::Strong, 0.5, 3);
+        let depth = k.len() as u64;
+        let reference = solve(&k, &SolveConfig::default());
+        let outcome = run_cluster(&k, &ClusterConfig::new(2));
+        assert!(outcome.all_terminated, "cluster did not terminate");
+        assert_eq!(
+            outcome.best.map(f64::to_bits),
+            reference.best.map(f64::to_bits)
+        );
+        let mut total = ProcMetrics::default();
+        for node in &outcome.nodes {
+            let m = &node.metrics;
+            // With one peer each flush is one report, and it ships the
+            // contracted fresh set: a few codes per level of the tree,
+            // however many completions the interval saw.
+            assert!(
+                m.report_codes_sent <= m.reports_sent * 2 * depth,
+                "node {}: {} codes in {} reports",
+                node.id,
+                m.report_codes_sent,
+                m.reports_sent
+            );
+            total.absorb(m);
+        }
+        let rate = total.reports_sent as f64 / total.expanded as f64;
+        assert!(
+            rate <= 0.01,
+            "{} reports for {} expansions",
+            total.reports_sent,
+            total.expanded
+        );
     }
 
     #[test]

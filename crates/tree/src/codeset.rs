@@ -53,8 +53,8 @@
 //! depth-first bursts from a finished subtree, so consecutive codes
 //! typically diverge only near the leaf). Producers that run per report
 //! flush have `_into` variants ([`CodeSet::minimal_codes_into`],
-//! [`CodeSet::complement_into`], [`compress_into`]) that write into
-//! caller-owned buffers instead of allocating fresh `Vec<Code>`s.
+//! [`CodeSet::complement_into`]) that write into caller-owned buffers
+//! instead of allocating fresh `Vec<Code>`s.
 
 use crate::code::{Code, Pair, PairsKind, Var};
 use serde::{Deserialize, Serialize};
@@ -714,20 +714,13 @@ impl From<CodeSet> for Vec<Code> {
 }
 
 /// Compress a list of completed codes into its minimal contracted form —
-/// the work-report compression of §5.3.2.
+/// the work-report compression of §5.3.2. A protocol process never holds
+/// the raw list: it inserts each completion into a [`CodeSet`] as it
+/// happens and ships the set's minimal codes, which are exactly this.
 pub fn compress(codes: &[Code]) -> Vec<Code> {
-    let mut scratch = CodeSet::new();
-    let mut out = Vec::new();
-    compress_into(codes, &mut scratch, &mut out);
-    out
-}
-
-/// [`compress`] with caller-owned scratch: `scratch` is cleared and rebuilt
-/// (retaining its arena), the minimal codes land in `out` (cleared first).
-pub fn compress_into(codes: &[Code], scratch: &mut CodeSet, out: &mut Vec<Code>) {
-    scratch.clear();
-    scratch.merge(codes.iter());
-    scratch.minimal_codes_into(out);
+    let mut set = CodeSet::new();
+    set.merge(codes);
+    set.minimal_codes()
 }
 
 #[cfg(test)]

@@ -27,6 +27,6 @@ pub mod io;
 
 pub use basic_tree::{BasicNode, BasicTree, NodeId, TreeStats};
 pub use code::{Code, Pair, Var};
-pub use codeset::{compress, compress_into, CodeSet, MergeOutcome};
+pub use codeset::{compress, CodeSet, MergeOutcome};
 pub use complement::{common_prefix_len, pick_recovery, RecoveryStrategy};
 pub use generator::{calibrated, random_basic_tree, TreeConfig};

@@ -47,9 +47,9 @@ fn base_spec(problem: ProblemSpec, nodes: u32, seed: u64) -> ClusterSpec {
 
 /// A problem big enough that kills at tens to hundreds of milliseconds
 /// land mid-computation in both build profiles: 155,972 expansions,
-/// about 0.35 s single-node in a release build (2.3 s in a debug build),
-/// and about 0.8 s (4.3 s) on a five-node loopback cluster on a 2-vCPU
-/// host.
+/// about 0.3 s single-node in a release build (2.3 s in a debug build),
+/// and about 0.2-0.45 s (2 s) on a five-node loopback cluster on a
+/// 2-vCPU host.
 fn heavy_problem() -> ProblemSpec {
     ProblemSpec::Knapsack(KnapsackSpec {
         n: 40,
@@ -60,15 +60,35 @@ fn heavy_problem() -> ProblemSpec {
     })
 }
 
-/// The restart regression's instance. Its restarted node rejoins about
-/// 2.1 s into the run, so the survivors must stay busy past that in
-/// either build profile, without a debug build running for a minute: a
-/// debug build solves 300,517 expansions and a release build 1,398,952.
-/// The whole test then takes about 9 s in either profile on a 2-vCPU
-/// host.
-fn restart_problem() -> ProblemSpec {
+/// The gossip regressions' instance. They need a heartbeat suspicion
+/// (350 ms of silence after a kill at 150-220 ms) and then a recovery,
+/// so the survivors must stay busy past about 0.6 s in either build
+/// profile. [`heavy_problem`] is too short for that: a five-node release
+/// cluster that paces its work reports by interval solves it in about
+/// 0.45 s. A debug build solves 300,517 expansions (3.6 s single-node)
+/// and a release build 1,398,952 (2.2 s), so a five-node cluster takes
+/// about 1.2 s in release on a 2-vCPU host.
+fn long_problem() -> ProblemSpec {
     ProblemSpec::Knapsack(KnapsackSpec {
         n: if cfg!(debug_assertions) { 42 } else { 44 },
+        range: 120,
+        correlation: Correlation::Strong,
+        frac: 0.5,
+        seed: 3,
+    })
+}
+
+/// The restart regression's instance. Its restarted node rejoins about
+/// 2.1 s into the run, so the survivors must stay busy well past that in
+/// either build profile, without a debug build running for a minute: a
+/// debug build solves 747,666 expansions (9 s single-node) and a release
+/// build 6,476,897 (11.6 s). Three live nodes share the two vCPUs, so
+/// the survivors finish about 4 s (debug) and 6 s (release) in. With
+/// [`long_problem`] a release cluster finished before the rejoin, and a
+/// debug cluster only 0.5 s after it.
+fn restart_problem() -> ProblemSpec {
+    ProblemSpec::Knapsack(KnapsackSpec {
+        n: if cfg!(debug_assertions) { 45 } else { 48 },
         range: 120,
         correlation: Correlation::Strong,
         frac: 0.5,
@@ -416,7 +436,7 @@ fn tree_file_cluster_ships_the_tree_to_wire_peers() {
 /// sequential optimum — with the joiners contributing expansions.
 #[test]
 fn joined_nodes_contribute_and_dead_node_is_suspected() {
-    let problem = heavy_problem();
+    let problem = long_problem();
     let reference = reference_best(&problem);
     assert!(reference.is_some(), "instance must be feasible");
 
@@ -510,7 +530,7 @@ fn joined_nodes_contribute_and_dead_node_is_suspected() {
 /// off one ordered event stream.
 #[test]
 fn telemetry_timeline_orders_kill_suspicion_recovery() {
-    let problem = heavy_problem();
+    let problem = long_problem();
     let reference = reference_best(&problem);
     assert!(reference.is_some(), "instance must be feasible");
 
@@ -640,16 +660,16 @@ fn service_pool_finishes_three_staggered_jobs_through_a_kill_and_restart() {
     let tree_path = tmp.join("workload.ftbb");
     ftbb_tree::io::write_tree_file(&tree, &tree_path).unwrap();
 
-    // Job 2 is heavy enough (`heavy_problem`: 0.35 s single-node in a
-    // release build, 2.3 s in a debug build) that the kill at 400 ms
-    // lands while it is genuinely in flight.
+    // Job 2 is heavy enough (`long_problem`) that the kill at 400 ms
+    // lands while it is genuinely in flight in either build profile; the
+    // pool solved `heavy_problem` by 330 ms in a release build.
     let problems = [
         ProblemSpec::MaxSat(MaxSatSpec {
             vars: 26,
             clauses: 110,
             seed: 13,
         }),
-        heavy_problem(),
+        long_problem(),
         ProblemSpec::tree_file(&tree_path),
     ];
     let references: Vec<Option<f64>> = problems.iter().map(reference_best).collect();
@@ -663,7 +683,7 @@ fn service_pool_finishes_three_staggered_jobs_through_a_kill_and_restart() {
     spec.service = true;
     // The pool is a daemon: it runs to this deadline even after all jobs
     // finish, so the deadline is also the test's wall-clock floor. Jobs
-    // finish around 8 s here in a debug build; leave headroom for CI.
+    // finish around 5 s here in a debug build; leave headroom for CI.
     spec.deadline = Duration::from_secs(15);
     spec.checkpoint_dir = Some(ckpt_dir);
     spec.checkpoint_every_s = 0.05;
@@ -788,18 +808,23 @@ fn hundred_process_gossip_cluster_caps_books_and_reaches_the_optimum() {
     const TOTAL: u32 = 100; // 97 wired + 3 joiners
     const BOOK_CAP: f64 = 16.0; // WireConfig::default().book_max_entries
 
-    // A mid-weight instance (~27k sequential expansions): big enough
-    // that both SIGKILLs land mid-run even with a 100-process startup
-    // ramp, small enough that one core pushes 100 debug processes
-    // through it well inside the deadline (a 92,748-expansion instance
-    // ran past 240 s at this scale).
-    let problem = ProblemSpec::Knapsack(KnapsackSpec {
-        n: 34,
-        range: 120,
-        correlation: Correlation::Strong,
-        frac: 0.5,
-        seed: 7,
-    });
+    // A mid-weight instance, sized per build profile: big enough that
+    // both SIGKILLs land mid-run even with a 100-process startup ramp,
+    // small enough that 100 debug processes get through it well inside
+    // the deadline. A debug build solves 27k sequential expansions; a
+    // release build finished that one before the first kill, so it
+    // solves 156k (`heavy_problem`).
+    let problem = if cfg!(debug_assertions) {
+        ProblemSpec::Knapsack(KnapsackSpec {
+            n: 34,
+            range: 120,
+            correlation: Correlation::Strong,
+            frac: 0.5,
+            seed: 7,
+        })
+    } else {
+        heavy_problem()
+    };
     let reference = reference_best(&problem);
     assert!(reference.is_some(), "instance must be feasible");
 
